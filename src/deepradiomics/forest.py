@@ -3,14 +3,13 @@
 CART trees, Gini impurity, bootstrap resampling, and sqrt(d) feature
 subsampling at every node.  Everything is seeded and tie-breaking is fixed
 (lowest feature index, then lowest threshold), so a (data, grid, seed)
-triple always produces the same model and the same evaluation report,
-whether folds run serially or in parallel.
+triple always produces the same model and the same evaluation report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import rankdata
@@ -62,6 +61,12 @@ class RfParams:
     min_leaf: int = 1
     mtry: int | None = None  # None -> floor(sqrt(d))
 
+    def __post_init__(self):
+        if self.n_trees < 1 or self.min_leaf < 1:
+            raise ValueError(
+                f"n_trees and min_leaf must be >= 1, got {self.n_trees} and {self.min_leaf}"
+            )
+
     def resolve_mtry(self, d: int) -> int:
         if self.mtry is not None:
             return max(1, min(self.mtry, d))
@@ -85,7 +90,6 @@ class RfModel:
     params: RfParams
     seed: int
     n_features: int
-    oob_indices: tuple[np.ndarray, ...] = field(repr=False, default=())
 
 
 @dataclass(frozen=True)
@@ -126,38 +130,33 @@ def _gini(n1: int, n: int) -> float:
 def _best_split(X, y, rows, feats, min_leaf):
     """Lowest weighted-Gini split over the candidate features.
 
+    All candidates are searched at once: each row of the (features, rows)
+    block is sorted, and cut p splits between sorted positions p and p+1.
     Ties resolve to the lowest feature index and then the lowest
-    threshold.  Returns (weighted_gini, feature, threshold) or None.
+    threshold, which is the first minimum in row-major order.  Returns
+    (weighted_gini, feature, threshold) or None.
     """
     n = rows.size
-    ysub = y[rows]
-    best = None
-    for f in feats:
-        xs = X[rows, f]
-        order = np.argsort(xs, kind="stable")
-        xv = xs[order]
-        yv = ysub[order]
-        cut = np.nonzero(xv[:-1] < xv[1:])[0]  # split between p and p+1
-        if cut.size == 0:
-            continue
-        left_n = cut + 1
-        ok = (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        cut = cut[ok]
-        if cut.size == 0:
-            continue
-        left_n = cut + 1
-        ones = np.cumsum(yv)
-        l1 = ones[cut]
-        r1 = ones[-1] - l1
-        rn = n - left_n
-        gl = 1.0 - (l1 / left_n) ** 2 - ((left_n - l1) / left_n) ** 2
-        gr = 1.0 - (r1 / rn) ** 2 - ((rn - r1) / rn) ** 2
-        weighted = (left_n * gl + rn * gr) / n
-        j = int(np.argmin(weighted))  # first minimum -> lowest threshold
-        if best is None or weighted[j] < best[0]:
-            thr = 0.5 * (xv[cut[j]] + xv[cut[j] + 1])
-            best = (float(weighted[j]), int(f), float(thr))
-    return best
+    lo, hi = min_leaf - 1, n - min_leaf  # cuts in [lo, hi) leave min_leaf rows a side
+    if lo >= hi:
+        return None
+    xs = X[rows][:, feats].T  # (mtry, n)
+    order = np.argsort(xs, axis=1, kind="stable")
+    xv = np.take_along_axis(xs, order, axis=1)
+    ones = np.cumsum(y[rows][order], axis=1)
+    left_n = np.arange(lo + 1, hi + 1)
+    rn = n - left_n
+    l1 = ones[:, lo:hi]
+    r1 = ones[:, -1:] - l1
+    gl = 1.0 - (l1 / left_n) ** 2 - ((left_n - l1) / left_n) ** 2
+    gr = 1.0 - (r1 / rn) ** 2 - ((rn - r1) / rn) ** 2
+    weighted = (left_n * gl + rn * gr) / n
+    weighted = np.where(xv[:, lo:hi] < xv[:, lo + 1 : hi + 1], weighted, np.inf)
+    k, j = np.unravel_index(np.argmin(weighted), weighted.shape)
+    if weighted[k, j] == np.inf:
+        return None
+    thr = 0.5 * (xv[k, lo + j] + xv[k, lo + j + 1])
+    return float(weighted[k, j]), int(feats[k]), float(thr)
 
 
 def _grow(X, y, rows, rng, min_leaf, mtry):
@@ -181,8 +180,8 @@ def rf_train(train: Dataset, params: RfParams, seed: int) -> RfModel:
     """Grow a seeded forest on bootstrap resamples of `train`.
 
     Tree t draws its bootstrap rows and per-node feature subsets from a
-    generator seeded with `seed + t`, which is what makes parallel and
-    serial training interchangeable.
+    generator seeded with `seed + t` alone, so the first k trees of a
+    forest are exactly the forest grown with `n_trees=k` and the same seed.
     """
     if train.n == 0:
         raise EmptyTraining("training set is empty")
@@ -190,19 +189,11 @@ def rf_train(train: Dataset, params: RfParams, seed: int) -> RfModel:
         raise SingleClassTraining("training set has a single class")
     mtry = params.resolve_mtry(train.d)
     trees = []
-    oob = []
     for t in range(params.n_trees):
         rng = np.random.default_rng(seed + t)
         rows = rng.integers(0, train.n, size=train.n)
         trees.append(_grow(train.X, train.y, rows, rng, params.min_leaf, mtry))
-        oob.append(np.setdiff1d(np.arange(train.n), rows))
-    return RfModel(
-        trees=tuple(trees),
-        params=params,
-        seed=seed,
-        n_features=train.d,
-        oob_indices=tuple(oob),
-    )
+    return RfModel(trees=tuple(trees), params=params, seed=seed, n_features=train.d)
 
 
 def tree_vote(node: TreeNode, row: np.ndarray) -> float:
@@ -310,6 +301,18 @@ def _stratified_split(y, rest, rng):
     return np.array(train, dtype=np.int64), np.array(sorted(val_set), dtype=np.int64)
 
 
+def _prefix_groups(points) -> list[list[RfParams]]:
+    """Grid points that differ only in n_trees, grouped in grid order.
+
+    The forests of one group are prefixes of the group's largest forest
+    (see rf_train), so each group needs only one forest.
+    """
+    groups: dict[RfParams, list[RfParams]] = {}
+    for p in points:
+        groups.setdefault(replace(p, n_trees=1), []).append(p)
+    return list(groups.values())
+
+
 def loocv(data: Dataset, grid, seed: int) -> EvalReport:
     """Leave-one-out evaluation with an inner 80/20 grid search per fold.
 
@@ -335,16 +338,21 @@ def loocv(data: Dataset, grid, seed: int) -> EvalReport:
             chosen = points[0]
         else:
             train_ds = data.subset(train_idx)
-            ranked = []
-            for p in points:
-                model = rf_train(train_ds, p, fold_seed)
-                val_scores = [rf_predict(model, data.X[v]) for v in val_idx]
-                if len(np.unique(data.y[val_idx])) < 2:
-                    val_auc = 0.5
-                else:
-                    val_auc = compute_auc(val_scores, data.y[val_idx])
-                ranked.append((-val_auc, p.n_trees, -p.min_leaf, p))
-            chosen = min(ranked)[3]
+            y_val = data.y[val_idx]
+            val_auc = {}
+            for group in _prefix_groups(points):
+                model = rf_train(train_ds, max(group, key=lambda p: p.n_trees), fold_seed)
+                # votes are 0, 0.5 or 1, so the sum of the first n_trees rows
+                # over n_trees is exactly rf_predict of the n_trees forest
+                votes = np.array([[tree_vote(t, data.X[v]) for v in val_idx] for t in model.trees])
+                for p in group:
+                    if len(np.unique(y_val)) < 2:
+                        val_auc[p] = 0.5
+                    else:
+                        val_auc[p] = compute_auc(votes[: p.n_trees].sum(axis=0) / p.n_trees, y_val)
+            # best AUC, then the smallest forest, then the largest leaves;
+            # remaining ties go to the first point in grid order
+            chosen = min(points, key=lambda p: (-val_auc[p], p.n_trees, -p.min_leaf))
 
         final = rf_train(data.subset(rest), chosen, fold_seed)
         scores[i] = rf_predict(final, data.X[i])

@@ -153,6 +153,11 @@ def load_manifest(path, check_files: bool = True) -> list[PatientRecord]:
     return records
 
 
+def _is_int_at_least(value, low: int) -> bool:
+    """True for a JSON integer >= low; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 @dataclass
 class RunConfig:
     """Pipeline configuration with the defaults used throughout."""
@@ -167,10 +172,10 @@ class RunConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ManifestInvalid(f"config: k must be >= 1, got {self.k}")
-        if self.seed < 0:
-            raise ManifestInvalid(f"config: seed must be >= 0, got {self.seed}")
+        if not _is_int_at_least(self.k, 1):
+            raise ManifestInvalid(f"config: k must be an integer >= 1, got {self.k!r}")
+        if not _is_int_at_least(self.seed, 0):
+            raise ManifestInvalid(f"config: seed must be an integer >= 0, got {self.seed!r}")
         if self.modality_reduction not in ("mean", "concat"):
             raise ManifestInvalid(
                 f"config: modality_reduction must be 'mean' or 'concat', got {self.modality_reduction!r}"
@@ -184,6 +189,12 @@ class RunConfig:
                 )
         if not isinstance(self.grid, dict) or not self.grid.get("n_trees") or not self.grid.get("min_leaf"):
             raise ManifestInvalid("config: grid needs nonempty n_trees and min_leaf lists")
+        for key in ("n_trees", "min_leaf"):
+            for v in self.grid[key]:
+                if not _is_int_at_least(v, 1):
+                    raise ManifestInvalid(
+                        f"config: grid {key} entries must be integers >= 1, got {v!r}"
+                    )
 
 
 def load_config(path=None) -> RunConfig:

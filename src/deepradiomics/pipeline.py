@@ -41,7 +41,10 @@ def thread_count() -> int:
     """Worker count for per-patient parallelism, capped by RADIOMICS_THREADS."""
     cap = os.environ.get("RADIOMICS_THREADS", "")
     if cap.strip():
-        return max(1, int(cap))
+        try:
+            return max(1, int(cap))
+        except ValueError:
+            raise ManifestInvalid(f"RADIOMICS_THREADS must be an integer, got {cap!r}") from None
     return min(8, os.cpu_count() or 1)
 
 

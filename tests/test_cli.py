@@ -121,7 +121,10 @@ class TestConfig:
         "raw",
         [
             {"k": 0},
+            {"k": 2.5},
+            {"k": True},
             {"seed": -1},
+            {"seed": 1.5},
             {"feature_sets": []},
             {"feature_sets": ["R", "X"]},
             {"modality_reduction": "median"},
@@ -133,6 +136,23 @@ class TestConfig:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(raw))
         with pytest.raises(ManifestInvalid):
+            load_config(p)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"n_trees": [0], "min_leaf": [1]},
+            {"n_trees": ["a"], "min_leaf": [1]},
+            {"n_trees": [10.5], "min_leaf": [1]},
+            {"n_trees": [True], "min_leaf": [1]},
+            {"n_trees": [10], "min_leaf": [-1]},
+        ],
+        ids=["zero", "string", "float", "bool", "negative-leaf"],
+    )
+    def test_invalid_grid_entries(self, tmp_path, grid):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"grid": grid}))
+        with pytest.raises(ManifestInvalid, match="grid"):
             load_config(p)
 
 
@@ -448,3 +468,12 @@ class TestMain:
         code = main(["extract", "--manifest", str(tmp_path / "none.csv"),
                      "--weights", "w.bin", "--out", str(tmp_path)])
         assert code == 1
+
+    def test_bad_thread_cap_is_a_clean_error(self, small_cohort, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RADIOMICS_THREADS", "abc")
+        code = main(["extract", "--manifest", str(small_cohort),
+                     "--weights", str(small_cohort.parent / "weights.bin"),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: RADIOMICS_THREADS") and err.count("\n") == 1

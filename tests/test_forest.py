@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepradiomics.errors import (
     DimMismatch,
@@ -15,6 +17,8 @@ from deepradiomics.forest import (
     RfModel,
     RfParams,
     TreeNode,
+    _best_split,
+    _stratified_split,
     compute_auc,
     confusion_matrix,
     expand_grid,
@@ -68,14 +72,23 @@ class TestRfTrain:
         model = rf_train(ds, RfParams(n_trees=100, min_leaf=1), seed=7)
         votes = np.zeros(ds.n)
         counts = np.zeros(ds.n)
-        for tree, oob in zip(model.trees, model.oob_indices):
-            for i in oob:
+        for t, tree in enumerate(model.trees):
+            # tree t's bootstrap rows, drawn as rf_train draws them
+            in_bag = np.random.default_rng(7 + t).integers(0, ds.n, size=ds.n)
+            for i in np.setdiff1d(np.arange(ds.n), in_bag):
                 votes[i] += tree_vote(tree, ds.X[i])
                 counts[i] += 1
         seen = counts > 0
         pred = (votes[seen] / counts[seen]) >= 0.5
         accuracy = (pred == ds.y[seen].astype(bool)).mean()
         assert accuracy > 0.9
+
+    @pytest.mark.parametrize("min_leaf, mtry", [(1, None), (3, 1)])
+    def test_small_forest_is_prefix_of_large_forest(self, min_leaf, mtry):
+        ds = blob_dataset(n_per_class=20, seed=8)
+        small = rf_train(ds, RfParams(n_trees=7, min_leaf=min_leaf, mtry=mtry), seed=13)
+        large = rf_train(ds, RfParams(n_trees=20, min_leaf=min_leaf, mtry=mtry), seed=13)
+        assert large.trees[:7] == small.trees  # node for node, thresholds included
 
     def test_determinism(self):
         ds = blob_dataset(n_per_class=30, seed=1)
@@ -93,11 +106,85 @@ class TestRfTrain:
         b = rf_train(other, RfParams(n_trees=15, min_leaf=2), seed=4)
         assert [tree_signature(t) for t in a.trees] == [tree_signature(t) for t in b.trees]
 
+    @pytest.mark.parametrize("kwargs", [{"n_trees": 0}, {"min_leaf": 0}])
+    def test_params_below_one_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=">= 1"):
+            RfParams(**kwargs)
+
     def test_errors(self):
         with pytest.raises(EmptyTraining):
             rf_train(Dataset(ids=(), X=np.empty((0, 2)), y=np.empty(0, int)), RfParams(), 0)
         with pytest.raises(SingleClassTraining):
             rf_train(Dataset(ids=("a", "b"), X=np.eye(2), y=np.array([1, 1])), RfParams(), 0)
+
+
+def reference_best_split(X, y, rows, feats, min_leaf):
+    """One feature at a time: the search _best_split must reproduce exactly."""
+    n = rows.size
+    ysub = y[rows]
+    best = None
+    for f in feats:
+        xs = X[rows, f]
+        order = np.argsort(xs, kind="stable")
+        xv = xs[order]
+        yv = ysub[order]
+        cut = np.nonzero(xv[:-1] < xv[1:])[0]  # split between p and p+1
+        if cut.size == 0:
+            continue
+        left_n = cut + 1
+        ok = (left_n >= min_leaf) & (n - left_n >= min_leaf)
+        cut = cut[ok]
+        if cut.size == 0:
+            continue
+        left_n = cut + 1
+        ones = np.cumsum(yv)
+        l1 = ones[cut]
+        r1 = ones[-1] - l1
+        rn = n - left_n
+        gl = 1.0 - (l1 / left_n) ** 2 - ((left_n - l1) / left_n) ** 2
+        gr = 1.0 - (r1 / rn) ** 2 - ((rn - r1) / rn) ** 2
+        weighted = (left_n * gl + rn * gr) / n
+        j = int(np.argmin(weighted))  # first minimum -> lowest threshold
+        if best is None or weighted[j] < best[0]:
+            thr = 0.5 * (xv[cut[j]] + xv[cut[j] + 1])
+            best = (float(weighted[j]), int(f), float(thr))
+    return best
+
+
+@st.composite
+def split_problems(draw):
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    decimals = draw(st.sampled_from([None, 0, 1]))  # rounding makes ties
+    if decimals is not None:
+        X = np.round(X, decimals)
+    for f in draw(st.lists(st.integers(0, d - 1), max_size=d)):
+        X[:, f] = 1.0  # constant column: no valid cut
+    if draw(st.booleans()):
+        # NaN sorts last, and no cut beside it is valid
+        X[rng.integers(0, n, size=2), rng.integers(0, d)] = np.nan
+    y = rng.integers(0, 2, n)
+    rows = rng.integers(0, n, size=n)  # a bootstrap sample, repeats included
+    mtry = draw(st.integers(1, d))
+    feats = np.sort(rng.choice(d, size=mtry, replace=False))
+    min_leaf = draw(st.integers(1, n // 2 + 1))  # one past n/2 leaves no valid cut
+    return X, y, rows, feats, min_leaf
+
+
+class TestBestSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems())
+    def test_matches_per_feature_search(self, problem):
+        assert _best_split(*problem) == reference_best_split(*problem)
+
+    def test_tie_prefers_lowest_feature_then_lowest_threshold(self):
+        # both columns separate the classes equally well at two thresholds
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        y = np.array([0, 1, 1, 0])
+        assert _best_split(X, y, np.arange(4), np.array([0, 1]), 1)[1:] == (0, 0.5)
 
 
 class TestRfPredict:
@@ -178,6 +265,27 @@ class TestConfusion:
         assert tprs == sorted(tprs)
 
 
+def reference_loocv(data, grid, seed):
+    """LOOCV that trains every grid point separately: (chosen params, scores)."""
+    points = expand_grid(grid)
+    chosen, scores = [], []
+    for i in range(data.n):
+        fold_seed = seed + i * 10007
+        rest = np.array([j for j in range(data.n) if j != i])
+        train_idx, val_idx = _stratified_split(data.y, rest, np.random.default_rng(fold_seed))
+        y_val = data.y[val_idx]
+        ranked = []
+        for p in points:
+            model = rf_train(data.subset(train_idx), p, fold_seed)
+            val_scores = [rf_predict(model, data.X[v]) for v in val_idx]
+            auc = compute_auc(val_scores, y_val) if len(np.unique(y_val)) == 2 else 0.5
+            ranked.append((-auc, p.n_trees, -p.min_leaf))
+        best = points[ranked.index(min(ranked))]
+        chosen.append(best)
+        scores.append(rf_predict(rf_train(data.subset(rest), best, fold_seed), data.X[i]))
+    return chosen, scores
+
+
 class TestLoocv:
     def test_separable_gives_perfect_auc(self):
         ds = separable_1d(20)
@@ -204,6 +312,29 @@ class TestLoocv:
         report = loocv(ds, {"n_trees": [25, 50], "min_leaf": [1, 2]}, seed=2)
         for audit in report.folds:
             assert audit.chosen == RfParams(n_trees=25, min_leaf=2)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"n_trees": [4, 9], "min_leaf": [1, 2, 4]},
+            [
+                RfParams(n_trees=nt, min_leaf=ml, mtry=m)
+                for nt in (3, 8, 15)
+                for ml in (1, 2)
+                for m in (1, 3)
+            ],
+        ],
+    )
+    def test_matches_brute_force_grid_search(self, grid):
+        rng = np.random.default_rng(12)
+        y = np.array([0, 1] * 7)
+        X = rng.normal(size=(14, 3)) + 0.8 * y[:, None]  # weak signal: grid points disagree
+        ds = Dataset(ids=tuple(f"q{i}" for i in range(14)), X=X, y=y)
+        report = loocv(ds, grid, seed=3)
+        chosen, scores = reference_loocv(ds, grid, seed=3)
+        assert [a.chosen for a in report.folds] == chosen
+        assert [s for _, s, _ in report.per_patient_scores] == scores
+        assert len(set(chosen)) > 1
 
     def test_determinism(self):
         ds = blob_dataset(n_per_class=12, seed=6)
