@@ -37,6 +37,7 @@ from .gmm import (
     build_feature_vector,
     collect_samples,
     em_fit,
+    em_fit_rows,
     feature_names,
     reduce_modalities,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "confusion_matrix",
     "conv3d",
     "em_fit",
+    "em_fit_rows",
     "extract_cnn_input",
     "feature_names",
     "forward",

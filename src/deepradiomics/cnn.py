@@ -283,6 +283,17 @@ def conv3d(
     return result
 
 
+def _block_max(a: np.ndarray) -> np.ndarray:
+    """Maximum over each 2x2x2 block of the last three axes (all even).
+
+    One pairwise np.maximum per axis: exactly the block maximum, and much
+    cheaper than a reduction over a strided 6-D reshape view.
+    """
+    a = np.maximum(a[..., 0::2, :, :], a[..., 1::2, :, :])
+    a = np.maximum(a[..., 0::2, :], a[..., 1::2, :])
+    return np.maximum(a[..., 0::2], a[..., 1::2])
+
+
 def maxpool3d(x: np.ndarray, window: int = 2, stride: int = 2) -> np.ndarray:
     """2x2x2 max pooling with stride 2; spatial dims must be even."""
     if window != 2 or stride != 2:
@@ -290,21 +301,17 @@ def maxpool3d(x: np.ndarray, window: int = 2, stride: int = 2) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeMismatch(f"expected (channels, X, Y, Z), got {x.shape}")
-    c, nx, ny, nz = x.shape
-    if nx % 2 or ny % 2 or nz % 2:
+    if any(n % 2 for n in x.shape[1:]):
         raise IndivisibleDims(f"spatial dims {x.shape[1:]} not divisible by 2")
-    view = x.reshape(c, nx // 2, 2, ny // 2, 2, nz // 2, 2)
-    return view.max(axis=(2, 4, 6))
+    return _block_max(x)
 
 
 def downsample_mask(mask: RoiMask) -> RoiMask:
     """Halve a mask: a coarse voxel is in-ROI iff any of its 2^3 children is."""
     v = mask.voxels
-    nx, ny, nz = v.shape
-    if nx % 2 or ny % 2 or nz % 2:
+    if any(n % 2 for n in v.shape):
         raise IndivisibleDims(f"mask dims {v.shape} not divisible by 2")
-    view = v.reshape(nx // 2, 2, ny // 2, 2, nz // 2, 2)
-    return RoiMask(voxels=view.max(axis=(1, 3, 5)))
+    return RoiMask(voxels=_block_max(v))
 
 
 # --------------------------------------------------------------------------

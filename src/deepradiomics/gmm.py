@@ -76,6 +76,7 @@ class FeatureVector:
     values: np.ndarray
     patient_id: str = ""
     modality_reduction: str = "none"
+    nonconverged: tuple[int, ...] = ()  # maps whose EM fit stopped at max_iter
 
     def __post_init__(self):
         if not np.isfinite(self.values).all():
@@ -101,11 +102,11 @@ def collect_samples(vol: Volume3D, mask: RoiMask) -> np.ndarray:
 
 
 def _estep(powers, mu, var, w):
-    """Responsibilities (k, n) and total log-likelihood for the mixture.
+    """Responsibilities (B, k, n) and per-row log-likelihoods (B,) of a row batch.
 
-    The log joint per component is quadratic in x, so it is evaluated as
-    one (k, 3) @ (3, n) product against precomputed [1, x, x^2] rows;
-    normalisation uses the max-subtraction log-sum-exp form.
+    The log joint per component is quadratic in x, so each row evaluates
+    it as one (k, 3) @ (3, n) product against its precomputed [1, x, x^2]
+    rows; normalisation uses the max-subtraction log-sum-exp form.
     """
     inv2v = 0.5 / var
     coeffs = np.stack(
@@ -114,95 +115,19 @@ def _estep(powers, mu, var, w):
             2.0 * inv2v * mu,
             -inv2v,
         ],
-        axis=1,
+        axis=2,
     )
     log_joint = coeffs @ powers
-    top = np.maximum.reduce(log_joint, axis=0)
-    log_joint -= top
+    top = np.maximum.reduce(log_joint, axis=1)
+    log_joint -= top[:, None]
     np.exp(log_joint, out=log_joint)
-    total = log_joint.sum(axis=0)
-    ll = float((top + np.log(total)).sum())
-    log_joint /= total
+    total = log_joint.sum(axis=1)
+    ll = (top + np.log(total)).sum(axis=1)
+    log_joint /= total[:, None]
     return log_joint, ll
 
 
-def em_fit(
-    samples,
-    k: int,
-    seed: int = 0,
-    *,
-    init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    tol: float = EM_TOL,
-    max_iter: int = EM_MAX_ITER,
-) -> GmmFit:
-    """Fit a k-component 1-D Gaussian mixture by EM.
-
-    `seed` is part of the call signature for forward compatibility with
-    randomised tie-breaking; the default initializer is deterministic so it
-    is currently unused.  `init` overrides the initial (means, variances,
-    weights), mainly for permutation-invariance testing.
-
-    If the samples hold fewer than k distinct values, the surplus
-    components are emitted as floored-variance duplicates at the sample
-    maximum with near-zero weight.
-    """
-    x = np.asarray(samples, dtype=np.float64).ravel()
-    if x.size == 0:
-        raise EmptySamples("cannot fit mixture to zero samples")
-    if k < 1:
-        raise InvalidK(f"k must be >= 1, got {k}")
-
-    floor = variance_floor(x)
-    n_distinct = len(np.unique(x))
-    if n_distinct < k:
-        base = em_fit(x, n_distinct, seed, tol=tol, max_iter=max_iter)
-        comps = list(base.components)
-        top = float(x.max())
-        comps += [GmmComponent(top, floor, SURPLUS_WEIGHT)] * (k - n_distinct)
-        total = sum(c.omega for c in comps)
-        comps = [GmmComponent(c.mu, c.sigma2, c.omega / total) for c in comps]
-        comps.sort(key=lambda c: (c.mu, -c.omega))
-        return GmmFit(
-            components=tuple(comps),
-            log_likelihood=base.log_likelihood,
-            iterations=base.iterations,
-            converged=base.converged,
-            ll_trace=base.ll_trace,
-        )
-
-    if init is None:
-        q = (np.arange(k) + 0.5) / k
-        mu = np.quantile(x, q)
-        var = np.full(k, max(float(x.var()), floor))
-        w = np.full(k, 1.0 / k)
-    else:
-        mu = np.asarray(init[0], dtype=np.float64).copy()
-        var = np.maximum(np.asarray(init[1], dtype=np.float64), floor)
-        w = np.asarray(init[2], dtype=np.float64)
-        w = w / w.sum()
-
-    x2 = x * x
-    powers = np.stack([np.ones_like(x), x, x2])
-    resp, ll = _estep(powers, mu, var, w)
-    trace = [ll]
-    converged = False
-    iterations = 0
-    while iterations < max_iter:
-        nj = np.maximum(resp.sum(axis=1), 1e-300)
-        w = nj / x.size
-        mu = (resp * x).sum(axis=1) / nj
-        ex2 = (resp * x2).sum(axis=1) / nj
-        var = np.maximum(ex2 - mu * mu, floor)
-        iterations += 1
-
-        resp, ll_new = _estep(powers, mu, var, w)
-        trace.append(ll_new)
-        improvement = ll_new - ll
-        ll = ll_new
-        if improvement < tol:
-            converged = True
-            break
-
+def _fit_result(mu, var, w, trace: list, iterations: int, converged: bool) -> GmmFit:
     order = np.lexsort((-w, mu))
     comps = tuple(
         GmmComponent(float(mu[j]), float(var[j]), float(w[j])) for j in order
@@ -216,20 +141,145 @@ def em_fit(
     )
 
 
+def _em_rows(x, mu, var, w, floor, tol: float, max_iter: int) -> list[GmmFit]:
+    """EM on every row of x (B, n), each from its own start (B, k) parameters.
+
+    The rows step in lockstep and a row leaves the batch at the iteration
+    where it would have stopped alone.  Every reduction over samples runs
+    along a row's contiguous axis, so numpy's pairwise summation, and with
+    it each row's result, is the same as in a one-row batch.
+    """
+    n = x.shape[1]
+    powers = np.stack([np.ones_like(x), x, x * x], axis=1)
+    resp, ll = _estep(powers, mu, var, w)
+    traces = [[v] for v in ll.tolist()]
+    live = np.arange(len(x))
+    fits: list[GmmFit | None] = [None] * len(x)
+    iterations = 0
+    while live.size:
+        if iterations == max_iter:
+            for j, r in enumerate(live):
+                fits[r] = _fit_result(mu[j], var[j], w[j], traces[r], iterations, False)
+            break
+        nj = np.maximum(resp.sum(axis=2), 1e-300)
+        w = nj / n
+        mu = (resp * powers[:, 1, None]).sum(axis=2) / nj
+        ex2 = (resp * powers[:, 2, None]).sum(axis=2) / nj
+        var = np.maximum(ex2 - mu * mu, floor[:, None])
+        iterations += 1
+
+        resp, ll_new = _estep(powers, mu, var, w)
+        for r, v in zip(live, ll_new.tolist()):
+            traces[r].append(v)
+        done = ll_new - ll < tol
+        ll = ll_new
+        if done.any():
+            for j in np.flatnonzero(done):
+                r = live[j]
+                fits[r] = _fit_result(mu[j], var[j], w[j], traces[r], iterations, True)
+            keep = ~done
+            live, powers, resp, ll = live[keep], powers[keep], resp[keep], ll[keep]
+            mu, var, w, floor = mu[keep], var[keep], w[keep], floor[keep]
+    return fits
+
+
+def em_fit_rows(
+    rows,
+    k: int,
+    *,
+    init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    tol: float = EM_TOL,
+    max_iter: int = EM_MAX_ITER,
+) -> list[GmmFit]:
+    """Fit a k-component 1-D Gaussian mixture by EM to each row of (B, n) samples.
+
+    The rows are fitted as one batch; each result equals, bit for bit, a
+    separate `em_fit` of that row.  `init` overrides the initial (means,
+    variances, weights) of every row, mainly for permutation-invariance
+    testing.
+
+    If a row holds fewer than k distinct values, the surplus components
+    are emitted as floored-variance duplicates at the row maximum with
+    near-zero weight.
+    """
+    X = np.asarray(rows, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeMismatch(f"expected a (rows, samples) array, got shape {X.shape}")
+    if X.shape[1] == 0:
+        raise EmptySamples("cannot fit mixture to zero samples")
+    if k < 1:
+        raise InvalidK(f"k must be >= 1, got {k}")
+
+    floor = np.array([variance_floor(x) for x in X])
+    fit_k = np.array([min(k, len(np.unique(x))) for x in X])
+    fits: list[GmmFit | None] = [None] * len(X)
+    for kk in np.unique(fit_k).tolist():
+        idx = np.flatnonzero(fit_k == kk)
+        sub = X[idx]
+        if init is None or kk < k:
+            mu = np.quantile(sub, (np.arange(kk) + 0.5) / kk, axis=1).T
+            var = np.repeat(np.maximum(sub.var(axis=1), floor[idx])[:, None], kk, axis=1)
+            w = np.full((len(idx), kk), 1.0 / kk)
+        else:
+            mu = np.tile(np.asarray(init[0], dtype=np.float64), (len(idx), 1))
+            var = np.maximum(np.asarray(init[1], dtype=np.float64), floor[idx, None])
+            w = np.asarray(init[2], dtype=np.float64)
+            w = np.tile(w / w.sum(), (len(idx), 1))
+        batch = _em_rows(sub, mu, var, w, floor[idx], tol, max_iter)
+        for i, fit in zip(idx, batch):
+            fits[i] = fit if kk == k else _with_surplus(fit, k, float(X[i].max()), floor[i])
+    return fits
+
+
+def _with_surplus(base: GmmFit, k: int, top: float, floor: float) -> GmmFit:
+    """Pad a fit to k components with near-zero-weight duplicates at `top`."""
+    comps = list(base.components)
+    comps += [GmmComponent(top, float(floor), SURPLUS_WEIGHT)] * (k - base.k)
+    total = sum(c.omega for c in comps)
+    comps = [GmmComponent(c.mu, c.sigma2, c.omega / total) for c in comps]
+    comps.sort(key=lambda c: (c.mu, -c.omega))
+    return GmmFit(
+        components=tuple(comps),
+        log_likelihood=base.log_likelihood,
+        iterations=base.iterations,
+        converged=base.converged,
+        ll_trace=base.ll_trace,
+    )
+
+
+def em_fit(
+    samples,
+    k: int,
+    *,
+    init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    tol: float = EM_TOL,
+    max_iter: int = EM_MAX_ITER,
+) -> GmmFit:
+    """Fit a k-component 1-D Gaussian mixture by EM: `em_fit_rows` on one row."""
+    x = np.asarray(samples, dtype=np.float64).reshape(1, -1)
+    return em_fit_rows(x, k, init=init, tol=tol, max_iter=max_iter)[0]
+
+
 # --------------------------------------------------------------------------
 # feature vector assembly
 # --------------------------------------------------------------------------
 
 def build_feature_vector(
-    acts: ActivationSet, k: int = 2, seed: int = 0, patient_id: str = ""
+    acts: ActivationSet, k: int = 2, patient_id: str = ""
 ) -> FeatureVector:
-    """Fit each of the 21 maps inside its ROI and concatenate the triples."""
-    parts = []
-    for vol, mask in acts.maps_with_masks():
-        samples = collect_samples(vol, mask)
-        parts.append(em_fit(samples, k, seed).as_triples())
+    """Fit each of the 21 maps inside its ROI and concatenate the triples.
+
+    The maps of one resolution share its mask and so its sample count:
+    the input map is one fit, and each layer's 10 maps are one row batch
+    of `em_fit_rows`, which gives exactly the per-map fits.
+    """
+    fits = [em_fit(collect_samples(acts.input_map, acts.mask64), k)]
+    for maps, mask in ((acts.layer1_maps, acts.mask32), (acts.layer2_maps, acts.mask16)):
+        fits += em_fit_rows(np.stack([collect_samples(m, mask) for m in maps]), k)
     return FeatureVector(
-        values=np.concatenate(parts), patient_id=patient_id, modality_reduction="none"
+        values=np.concatenate([f.as_triples() for f in fits]),
+        patient_id=patient_id,
+        nonconverged=tuple(i for i, f in enumerate(fits) if not f.converged),
     )
 
 

@@ -169,7 +169,6 @@ class RunConfig:
     )
     modality_reduction: str = "mean"
     feature_sets: tuple[str, ...] = FEATURE_SETS
-    output_dir: str | None = None
 
     def __post_init__(self):
         if not _is_int_at_least(self.k, 1):
@@ -211,12 +210,12 @@ def load_config(path=None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ManifestInvalid(f"{p}: config must be a JSON object")
     kwargs = {}
-    for key in ("k", "seed", "grid", "modality_reduction", "output_dir"):
+    for key in ("k", "seed", "grid", "modality_reduction"):
         if key in raw:
             kwargs[key] = raw[key]
     if "feature_sets" in raw:
         kwargs["feature_sets"] = tuple(raw["feature_sets"])
-    unknown = set(raw) - {"k", "seed", "grid", "modality_reduction", "output_dir", "feature_sets"}
+    unknown = set(raw) - {"k", "seed", "grid", "modality_reduction", "feature_sets"}
     if unknown:
         raise ManifestInvalid(f"{p}: unknown config keys: {sorted(unknown)}")
     try:

@@ -80,12 +80,10 @@ def write_json(path, obj) -> None:
 # feature extraction
 # --------------------------------------------------------------------------
 
-def volume_features(
-    vol_path, mask_path, weights: cnn.CnnWeights, k: int, seed: int
-) -> gmm.FeatureVector:
+def volume_features(vol_path, mask_path, weights: cnn.CnnWeights, k: int) -> gmm.FeatureVector:
     """Full single-volume pass: preprocess, run the network, fit mixtures."""
     acts = volume_activations(vol_path, mask_path, weights)
-    return gmm.build_feature_vector(acts, k=k, seed=seed)
+    return gmm.build_feature_vector(acts, k=k)
 
 
 def volume_activations(vol_path, mask_path, weights: cnn.CnnWeights) -> cnn.ActivationSet:
@@ -115,15 +113,23 @@ def patient_features(
     """Per-modality feature vectors reduced to one vector per patient.
 
     Identical volume paths within a patient are computed once and reused.
+    A volume with mixture fits that stopped at the iteration cap gets one
+    warning naming the maps.
     """
     cache: dict[str, gmm.FeatureVector] = {}
     vectors = []
     for col in MODALITY_COLUMNS:
         key = str(record.volumes[col])
         if key not in cache:
-            cache[key] = volume_features(
-                record.volumes[col], record.mask, weights, config.k, config.seed
-            )
+            fv = volume_features(record.volumes[col], record.mask, weights, config.k)
+            if fv.nonconverged:
+                log.warning(
+                    "%s %s: EM stopped at its iteration cap without converging for maps %s",
+                    record.patient_id,
+                    col,
+                    ", ".join(map(str, fv.nonconverged)),
+                )
+            cache[key] = fv
         vectors.append(cache[key])
     reduced = gmm.reduce_modalities(vectors, mode=config.modality_reduction)
     return gmm.FeatureVector(
@@ -188,7 +194,11 @@ def cmd_extract(records, weights_path, config: RunConfig, out_dir) -> ExtractRes
 
 
 def load_features_csv(path) -> tuple[list[str], list[str], np.ndarray]:
-    """Returns (patient_ids, column_names, matrix) from a features.csv."""
+    """Returns (patient_ids, column_names, matrix) from a features.csv.
+
+    Every feature cell must be a finite number; anything else raises
+    ManifestInvalid naming the file, the patient and the column.
+    """
     p = Path(path)
     if not p.exists():
         raise ManifestInvalid(f"features file not found: {p}")
@@ -204,7 +214,18 @@ def load_features_csv(path) -> tuple[list[str], list[str], np.ndarray]:
         if len(cells) != len(names) + 1:
             raise ManifestInvalid(f"{p}: row for {cells[0]!r} has wrong column count")
         ids.append(cells[0])
-        rows.append([float(c) for c in cells[1:]])
+        row = []
+        for name, cell in zip(names, cells[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ManifestInvalid(
+                    f"{p}: patient {cells[0]!r}, column {name!r}: {cell!r} is not a finite number"
+                )
+            row.append(value)
+        rows.append(row)
     matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
     return ids, names, matrix
 
@@ -236,7 +257,7 @@ def _design_matrix(
     if "R" in wanted:
         blocks.append(radiomic)
     if "C" in wanted:
-        blocks.append(np.array([[r.age, float(r.gender)] for r in records]))
+        blocks.append(np.array([r.clinical() for r in records]))
     if "I" in wanted:
         blocks.append(np.array([list(r.immune()) for r in records]))
     return np.concatenate(blocks, axis=1)
@@ -463,7 +484,7 @@ def cmd_inspect(
     vol, mask = acts.maps_with_masks()[map_index]
     samples = gmm.collect_samples(vol, mask)
     counts, edges = np.histogram(samples, bins=64)
-    fit = gmm.em_fit(samples, config.k, config.seed)
+    fit = gmm.em_fit(samples, config.k)
     xs = np.linspace(edges[0], edges[-1], 256)
     bin_w = edges[1] - edges[0]
     curve = fit.density(xs) * samples.size * bin_w

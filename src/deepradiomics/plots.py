@@ -20,6 +20,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _escape(text: str) -> str:
+    """XML character data: `&`, `<` and `>` as entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi <= lo:
         return [lo]
@@ -34,10 +39,16 @@ class _Canvas:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
             f'viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-            f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>',
         ]
+        self.text(
+            f'x="{WIDTH // 2}" y="20" text-anchor="middle" font-family="sans-serif" font-size="14"',
+            title,
+        )
         self._axes(xlabel, ylabel)
+
+    def text(self, attrs: str, content: str):
+        """Append a <text> element; every label enters the SVG here, XML-escaped."""
+        self.parts.append(f"<text {attrs}>{_escape(content)}</text>")
 
     def px(self, x: float) -> float:
         lo, hi = self.xlim
@@ -58,25 +69,29 @@ class _Canvas:
         for tx in _ticks(*self.xlim):
             px = self.px(tx)
             self.parts.append(f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y0 + 4}" stroke="black"/>')
-            self.parts.append(
-                f'<text x="{_fmt(px)}" y="{y0 + 18}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>'
+            self.text(
+                f'x="{_fmt(px)}" y="{y0 + 18}" text-anchor="middle" '
+                'font-family="sans-serif" font-size="11"',
+                _fmt(tx),
             )
         for ty in _ticks(*self.ylim):
             py = self.py(ty)
             self.parts.append(f'<line x1="{x0 - 4}" y1="{_fmt(py)}" x2="{x0}" y2="{_fmt(py)}" stroke="black"/>')
-            self.parts.append(
-                f'<text x="{x0 - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>'
+            self.text(
+                f'x="{x0 - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
+                'font-family="sans-serif" font-size="11"',
+                _fmt(ty),
             )
-        self.parts.append(
-            f'<text x="{MARGIN_L + PLOT_W // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{xlabel}</text>'
+        self.text(
+            f'x="{MARGIN_L + PLOT_W // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
+            'font-family="sans-serif" font-size="12"',
+            xlabel,
         )
-        self.parts.append(
-            f'<text x="14" y="{MARGIN_T + PLOT_H // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {MARGIN_T + PLOT_H // 2})">{ylabel}</text>'
+        self.text(
+            f'x="14" y="{MARGIN_T + PLOT_H // 2}" text-anchor="middle" '
+            'font-family="sans-serif" font-size="12" '
+            f'transform="rotate(-90 14 {MARGIN_T + PLOT_H // 2})"',
+            ylabel,
         )
 
     def polyline(self, xs, ys, color: str, width: float = 1.5):
@@ -101,9 +116,7 @@ class _Canvas:
                 f'<line x1="{x}" y1="{y - 4}" x2="{x + 22}" y2="{y - 4}" '
                 f'stroke="{color}" stroke-width="2"/>'
             )
-            self.parts.append(
-                f'<text x="{x + 28}" y="{y}" font-family="sans-serif" font-size="11">{label}</text>'
-            )
+            self.text(f'x="{x + 28}" y="{y}" font-family="sans-serif" font-size="11"', label)
 
     def render(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"

@@ -1,6 +1,9 @@
 """Manifest/config handling, pipeline commands and the radiomics CLI."""
 
+import functools
 import json
+import logging
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from conftest import write_bare_manifest, write_feature_csv
 
 import deepradiomics as dr
+from deepradiomics import gmm
 from deepradiomics.cli import main
 from deepradiomics.errors import (
     BadMapIndex,
@@ -130,6 +134,7 @@ class TestConfig:
             {"modality_reduction": "median"},
             {"grid": {"n_trees": []}},
             {"bogus": 1},
+            {"output_dir": "out"},
         ],
     )
     def test_invalid_configs(self, tmp_path, raw):
@@ -216,6 +221,26 @@ class TestExtract:
         _, _, result = extracted
         assert_csv_roundtrips(result.features_path, tmp_path)
 
+    def test_nonconvergence_is_logged(self, extracted, tmp_path, monkeypatch, caplog):
+        manifest, cfg, _ = extracted
+        # a one-iteration cap leaves at least the input map of every volume unconverged
+        monkeypatch.setattr(gmm, "em_fit", functools.partial(gmm.em_fit, max_iter=1))
+        monkeypatch.setattr(gmm, "em_fit_rows", functools.partial(gmm.em_fit_rows, max_iter=1))
+        with caplog.at_level(logging.WARNING, logger="deepradiomics"):
+            result = cmd_extract(load_manifest(manifest), manifest.parent / "weights.bin", cfg, tmp_path)
+        assert result.n_ok == 5
+        warned = set()
+        for rec in caplog.records:
+            m = re.fullmatch(r"(S\d\d) (\w+): EM stopped .* for maps ([\d, ]+)", rec.getMessage())
+            assert rec.levelno == logging.WARNING and m, rec.getMessage()
+            maps = [int(i) for i in m.group(3).split(", ")]
+            assert maps[0] == 0 and maps == sorted(set(maps)) and maps[-1] <= 20
+            warned.add((m.group(1), m.group(2)))
+        # one warning per distinct volume: t1wi is volume a, t1ce..flair share volume b
+        assert warned == {(f"S{i:02d}", col) for i in range(5) for col in ("t1wi", "t1ce")}
+        assert len(caplog.records) == 10
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv"]
+
 
 # --------------------------------------------------------------------------
 # classify
@@ -294,6 +319,24 @@ class TestClassify:
         cfg = RunConfig(grid={"n_trees": [5], "min_leaf": [1]}, feature_sets=("R",))
         with pytest.raises(DegenerateLabels):
             cmd_classify(features, records, "neutrophils", cfg, tmp_path / "out")
+
+    @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf", "-inf"])
+    def test_bad_feature_cell_is_a_clean_error(self, tmp_path, capsys, cell):
+        features, _ = planted_cohort(tmp_path, n=6, seed=4)
+        lines = features.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[5] = cell
+        lines[3] = ",".join(cells)
+        features.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestInvalid, match=r"patient 'P02', column 'f000_s2'"):
+            load_features_csv(features)
+        code = main(["classify", "--features", str(features), "--manifest",
+                     str(tmp_path / "manifest.csv"), "--target", "m1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(features) in err and "P02" in err and "f000_s2" in err
 
     def test_unknown_target(self, tmp_path):
         features, records = planted_cohort(tmp_path, n=6, seed=4)
@@ -396,6 +439,19 @@ class TestInspect:
         raw = pgm.read_bytes()
         assert raw.startswith(b"P5\n32 32\n255\n")
         assert len(raw) == len(b"P5\n32 32\n255\n") + 32 * 32
+
+    def test_svg_text_is_escaped(self, small_cohort, tmp_path):
+        lines = small_cohort.read_text().splitlines()
+        lines[1] = lines[1].replace("S00,", "S&<00,", 1)
+        odd = small_cohort.parent / "odd_id.csv"
+        odd.write_text("\n".join(lines) + "\n")
+        records = load_manifest(odd)
+        svg, _ = cmd_inspect(
+            records, "S&<00", 3, small_cohort.parent / "weights.bin", RunConfig(), tmp_path
+        )
+        root = ET.parse(svg).getroot()
+        texts = [el.text for el in root.iter() if el.tag.endswith("text")]
+        assert texts[0] == "S&<00 map 3 (t1ce) in-ROI histogram"
 
     def test_map_zero_uses_input_resolution(self, small_cohort, tmp_path):
         records = load_manifest(small_cohort)

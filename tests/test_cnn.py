@@ -69,6 +69,12 @@ def maxpool_ref(x):
     return out
 
 
+def downsample_mask_ref(vox):
+    """downsample_mask's reshape-max form before the pairwise maximum."""
+    nx, ny, nz = vox.shape
+    return vox.reshape(nx // 2, 2, ny // 2, 2, nz // 2, 2).max(axis=(1, 3, 5))
+
+
 # --------------------------------------------------------------------------
 # convolution
 # --------------------------------------------------------------------------
@@ -313,6 +319,23 @@ class TestForward:
                 for k in range(4):
                     child = vox[2 * i : 2 * i + 2, 2 * j : 2 * j + 2, 2 * k : 2 * k + 2]
                     assert coarse.voxels[i, j, k] == (1 if child.any() else 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mask_downsampling_matches_reshape_max(self, half, density, seed):
+        rng = np.random.default_rng(seed)
+        vox = (rng.random(tuple(2 * h for h in half)) < density).astype(np.uint8)
+        got = downsample_mask(dr.RoiMask(voxels=vox)).voxels
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, downsample_mask_ref(vox))
+
+    def test_mask_downsampling_indivisible(self):
+        with pytest.raises(IndivisibleDims):
+            downsample_mask(dr.RoiMask(voxels=np.ones((4, 3, 4), dtype=np.uint8)))
 
     def test_wrong_input_size(self):
         vol = dr.Volume3D(data=np.zeros((32, 32, 32)), spacing=(1, 1, 1))

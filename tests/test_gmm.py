@@ -1,12 +1,16 @@
 """EM mixture fitting and feature-vector assembly."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deepradiomics as dr
 from deepradiomics.cnn import CnnWeights
 from deepradiomics.errors import EmptyMask, EmptySamples, InvalidK, LengthMismatch, ShapeMismatch
-from deepradiomics.gmm import em_fit, variance_floor
+from deepradiomics.gmm import SURPLUS_WEIGHT, em_fit, em_fit_rows, variance_floor
 
 
 def two_gaussians(n=20000, mu=(0.0, 10.0), sigma=(1.0, 1.0), seed=7):
@@ -150,7 +154,7 @@ class TestEmFit:
 
     def test_determinism(self):
         x = two_gaussians(n=1500, seed=8)
-        fa, fb = em_fit(x, 2, seed=1), em_fit(x, 2, seed=1)
+        fa, fb = em_fit(x, 2), em_fit(x, 2)
         assert fa.components == fb.components
         assert fa.log_likelihood == fb.log_likelihood
 
@@ -165,6 +169,146 @@ class TestEmFit:
         assert fit.k == 3
         assert sum(c.omega for c in fit.components) == pytest.approx(1.0, abs=1e-12)
         assert fit.components[-1].mu == 2.0  # surplus parked at the maximum
+
+
+# --------------------------------------------------------------------------
+# row-batched EM against the one-map EM loop it replaced
+# --------------------------------------------------------------------------
+
+def reference_em_fit(x, k, init=None, tol=1e-8, max_iter=500):
+    """The per-map EM loop used before row batching, kept as the reference.
+
+    Returns (components as (mu, sigma2, omega) tuples, iterations,
+    converged, ll_trace).
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    floor = variance_floor(x)
+    n_distinct = len(np.unique(x))
+    if n_distinct < k:
+        comps, iterations, converged, trace = reference_em_fit(x, n_distinct, None, tol, max_iter)
+        comps = comps + [(float(x.max()), floor, SURPLUS_WEIGHT)] * (k - n_distinct)
+        total = sum(c[2] for c in comps)
+        comps = sorted(((m, v, w / total) for m, v, w in comps), key=lambda c: (c[0], -c[2]))
+        return comps, iterations, converged, trace
+
+    if init is None:
+        mu = np.quantile(x, (np.arange(k) + 0.5) / k)
+        var = np.full(k, max(float(x.var()), floor))
+        w = np.full(k, 1.0 / k)
+    else:
+        mu = np.asarray(init[0], dtype=np.float64).copy()
+        var = np.maximum(np.asarray(init[1], dtype=np.float64), floor)
+        w = np.asarray(init[2], dtype=np.float64)
+        w = w / w.sum()
+
+    def estep(mu, var, w):
+        inv2v = 0.5 / var
+        coeffs = np.stack(
+            [np.log(w) - 0.5 * (math.log(2.0 * math.pi) + np.log(var)) - inv2v * mu * mu,
+             2.0 * inv2v * mu,
+             -inv2v],
+            axis=1,
+        )
+        log_joint = coeffs @ powers
+        top = np.maximum.reduce(log_joint, axis=0)
+        log_joint -= top
+        np.exp(log_joint, out=log_joint)
+        total = log_joint.sum(axis=0)
+        ll = float((top + np.log(total)).sum())
+        log_joint /= total
+        return log_joint, ll
+
+    x2 = x * x
+    powers = np.stack([np.ones_like(x), x, x2])
+    resp, ll = estep(mu, var, w)
+    trace = [ll]
+    converged = False
+    iterations = 0
+    while iterations < max_iter:
+        nj = np.maximum(resp.sum(axis=1), 1e-300)
+        w = nj / x.size
+        mu = (resp * x).sum(axis=1) / nj
+        ex2 = (resp * x2).sum(axis=1) / nj
+        var = np.maximum(ex2 - mu * mu, floor)
+        iterations += 1
+        resp, ll_new = estep(mu, var, w)
+        trace.append(ll_new)
+        improvement = ll_new - ll
+        ll = ll_new
+        if improvement < tol:
+            converged = True
+            break
+    order = np.lexsort((-w, mu))
+    comps = [(float(mu[j]), float(var[j]), float(w[j])) for j in order]
+    return comps, iterations, converged, np.asarray(trace)
+
+
+def assert_same_fit(fit, ref):
+    comps, iterations, converged, trace = ref
+    got = np.array([(c.mu, c.sigma2, c.omega) for c in fit.components])
+    assert got.tobytes() == np.array(comps).tobytes()
+    assert (fit.iterations, fit.converged) == (iterations, converged)
+    assert fit.ll_trace.tobytes() == trace.tobytes()
+    assert fit.log_likelihood == trace[-1]
+
+
+# kinds of sample rows: fast (well separated), slow (overlapping), few
+# distinct values, constant, and ReLU-like with a point mass at zero
+ROW_KINDS = ("separated", "overlapping", "few-distinct", "constant", "relu")
+
+
+def sample_row(rng, kind, n):
+    if kind == "separated":
+        return np.where(rng.random(n) < 0.4, rng.normal(0.0, 1.0, n), rng.normal(12.0, 1.0, n))
+    if kind == "overlapping":
+        return np.where(rng.random(n) < 0.5, rng.normal(0.0, 1.0, n), rng.normal(1.0, 1.3, n))
+    if kind == "few-distinct":
+        return rng.integers(0, 2, n).astype(np.float64) * 3.5
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    return np.maximum(rng.normal(-0.3, 1.0, n), 0.0)
+
+
+class TestEmFitRows:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6),
+        n=st.integers(1, 400),
+        k=st.integers(1, 3),
+        max_iter=st.sampled_from([0, 1, 2, 7, 40, 500]),
+        with_init=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_one_map_fits_bit_for_bit(self, kinds, n, k, max_iter, with_init, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.stack([sample_row(rng, kind, n) for kind in kinds])
+        init = None
+        if with_init:
+            init = (rng.normal(0.0, 3.0, k), rng.uniform(0.5, 2.0, k), rng.uniform(0.2, 1.0, k))
+        fits = em_fit_rows(rows, k, init=init, max_iter=max_iter)
+        assert len(fits) == len(rows)
+        for row, fit in zip(rows, fits):
+            ref = reference_em_fit(row, k, init, max_iter=max_iter)
+            assert_same_fit(fit, ref)
+            assert_same_fit(em_fit(row, k, init=init, max_iter=max_iter), ref)
+
+    def test_rows_stop_at_their_own_iteration(self):
+        rng = np.random.default_rng(3)
+        rows = np.stack([sample_row(rng, kind, 300) for kind in ROW_KINDS])
+        fits = em_fit_rows(rows, 2, max_iter=60)
+        iterations = [f.iterations for f in fits]
+        assert len(set(iterations)) > 2  # rows left the batch at different steps
+        assert not all(f.converged for f in fits) and any(f.converged for f in fits)
+        for row, fit in zip(rows, fits):
+            assert_same_fit(fit, reference_em_fit(row, 2, max_iter=60))
+
+    def test_errors(self):
+        with pytest.raises(EmptySamples):
+            em_fit_rows(np.empty((2, 0)), 2)
+        with pytest.raises(InvalidK):
+            em_fit_rows(np.ones((2, 5)), 0)
+        with pytest.raises(ShapeMismatch):
+            em_fit_rows(np.ones(5), 2)
 
 
 def zero_activations():
@@ -185,6 +329,16 @@ def acts():
 
 
 class TestFeatureVector:
+    def test_matches_per_map_fits(self, acts):
+        for k in (1, 2, 3):
+            fv = dr.build_feature_vector(acts, k=k)
+            per_map = [
+                em_fit(dr.collect_samples(vol, mask), k) for vol, mask in acts.maps_with_masks()
+            ]
+            expected = np.concatenate([f.as_triples() for f in per_map])
+            assert fv.values.tobytes() == expected.tobytes()
+            assert fv.nonconverged == tuple(i for i, f in enumerate(per_map) if not f.converged)
+
     @pytest.mark.parametrize("k,length", [(1, 63), (2, 126), (3, 189)])
     def test_vector_length(self, acts, k, length):
         fv = dr.build_feature_vector(acts, k=k)
