@@ -116,64 +116,110 @@ class EvalReport:
 # tree growth
 # --------------------------------------------------------------------------
 
-def _leaf(y_rows: np.ndarray) -> TreeNode:
-    n1 = int(y_rows.sum())
-    n = y_rows.size
-    return TreeNode(proba=((n - n1) / n, n1 / n))
-
-
-def _gini(n1: int, n: int) -> float:
+def _gini(n1, n):
     p1 = n1 / n
     return 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
 
 
-def _best_split(X, y, rows, feats, min_leaf):
-    """Lowest weighted-Gini split over the candidate features.
+def _best_split(X, y, rows, sizes, feats, min_leaf):
+    """Lowest weighted-Gini split of every node in a batch.
 
-    All candidates are searched at once: each row of the (features, rows)
-    block is sorted, and cut p splits between sorted positions p and p+1.
-    Ties resolve to the lowest feature index and then the lowest
-    threshold, which is the first minimum in row-major order.  Returns
-    (weighted_gini, feature, threshold) or None.
+    Node b holds the rows rows[b, :sizes[b]] (later entries are ignored)
+    and searches its sorted candidate features feats[b].  Each node's
+    (features, rows) block is padded at the end of every row with NaN, and
+    all blocks are sorted at once; the stable sort keeps real NaN cells in
+    their original order ahead of the padding.  Cut p splits between
+    sorted positions p and p+1 and counts when it leaves at least min_leaf
+    rows a side and the two values differ.  Ties resolve to the lowest
+    feature index and then the lowest threshold, the first minimum of the
+    node's block in row-major order.  Returns (weighted_gini, feature,
+    threshold) arrays; weighted_gini is inf where a node has no valid cut.
     """
-    n = rows.size
-    lo, hi = min_leaf - 1, n - min_leaf  # cuts in [lo, hi) leave min_leaf rows a side
+    B, W = rows.shape
+    lo, hi = min_leaf - 1, W - min_leaf  # cuts in [lo, hi) leave min_leaf rows a side
     if lo >= hi:
-        return None
-    xs = X[rows][:, feats].T  # (mtry, n)
-    order = np.argsort(xs, axis=1, kind="stable")
-    xv = np.take_along_axis(xs, order, axis=1)
-    ones = np.cumsum(y[rows][order], axis=1)
+        return np.full(B, np.inf), feats[:, 0], np.full(B, np.nan)
+    real = np.arange(W) < sizes[:, None]
+    xs = np.where(real[:, None, :], X[rows[:, None, :], feats[:, :, None]], np.nan)
+    order = np.argsort(xs, axis=2, kind="stable")
+    xv = np.take_along_axis(xs, order, axis=2)
+    ones = np.cumsum(np.take_along_axis((y[rows] * real)[:, None, :], order, axis=2), axis=2)
     left_n = np.arange(lo + 1, hi + 1)
-    rn = n - left_n
-    l1 = ones[:, lo:hi]
-    r1 = ones[:, -1:] - l1
+    rn = (sizes[:, None] - left_n)[:, None, :]
+    l1 = ones[:, :, lo:hi]
+    r1 = ones[:, :, -1:] - l1
     gl = 1.0 - (l1 / left_n) ** 2 - ((left_n - l1) / left_n) ** 2
-    gr = 1.0 - (r1 / rn) ** 2 - ((rn - r1) / rn) ** 2
-    weighted = (left_n * gl + rn * gr) / n
-    weighted = np.where(xv[:, lo:hi] < xv[:, lo + 1 : hi + 1], weighted, np.inf)
-    k, j = np.unravel_index(np.argmin(weighted), weighted.shape)
-    if weighted[k, j] == np.inf:
-        return None
-    thr = 0.5 * (xv[k, lo + j] + xv[k, lo + j + 1])
-    return float(weighted[k, j]), int(feats[k]), float(thr)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rn < 1 only on cuts masked below
+        gr = 1.0 - (r1 / rn) ** 2 - ((rn - r1) / rn) ** 2
+        weighted = (left_n * gl + rn * gr) / sizes[:, None, None]
+    ok = (rn >= min_leaf) & (xv[:, :, lo:hi] < xv[:, :, lo + 1 : hi + 1])
+    weighted = np.where(ok, weighted, np.inf).reshape(B, -1)
+    first = np.argmin(weighted, axis=1)
+    k, j = np.divmod(first, hi - lo)
+    b = np.arange(B)
+    thr = 0.5 * (xv[b, k, lo + j] + xv[b, k, lo + j + 1])
+    return weighted[b, first], feats[b, k], thr
 
 
-def _grow(X, y, rows, rng, min_leaf, mtry):
-    ysub = y[rows]
-    n1 = int(ysub.sum())
-    if n1 == 0 or n1 == rows.size or rows.size < 2 * min_leaf:
-        return _leaf(ysub)
-    feats = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
-    best = _best_split(X, y, rows, feats, min_leaf)
-    if best is None or _gini(n1, rows.size) - best[0] <= _MIN_IMPURITY_DECREASE:
-        return _leaf(ysub)
-    _, f, thr = best
-    go_left = X[rows, f] <= thr
-    node = TreeNode(feature=f, threshold=thr)
-    node.left = _grow(X, y, rows[go_left], rng, min_leaf, mtry)
-    node.right = _grow(X, y, rows[~go_left], rng, min_leaf, mtry)
-    return node
+_BLOCK = 64  # trees grown together; bounds the batched search's temporaries
+
+
+def _grow_block(X, y, seeds, min_leaf, mtry):
+    """One tree per seed, all grown together in depth-first steps.
+
+    Each tree keeps its own stack and walks its nodes in preorder, left
+    before right.  A step advances every unfinished tree to its next node
+    that needs a split search (pure and too-small nodes become leaves on
+    the way and draw nothing), draws that node's candidate features from
+    the tree's generator, and searches all those nodes in one _best_split
+    call.  A generator therefore sees the same draws in the same order as
+    when its tree is grown alone.
+    """
+    n, d = X.shape
+    rngs = [np.random.default_rng(s) for s in seeds]
+    boot = np.array([rng.integers(0, n, size=n) for rng in rngs])
+    trees = [TreeNode() for _ in rngs]
+    # a stack holds (node, rows, class-1 count) and pops the left child first
+    stacks = [[entry] for entry in zip(trees, boot, y[boot].sum(axis=1).tolist())]
+    active = list(zip(rngs, stacks))
+    while active:
+        todo, draws, still = [], [], []
+        for rng, stack in active:
+            while stack:
+                node, rows, n1 = stack.pop()
+                if n1 == 0 or n1 == rows.size or rows.size < 2 * min_leaf:
+                    node.proba = ((rows.size - n1) / rows.size, n1 / rows.size)
+                else:
+                    todo.append((stack, node, rows, n1))
+                    draws.append(rng.choice(d, size=mtry, replace=False))
+                    still.append((rng, stack))
+                    break
+        if not todo:
+            break
+        active = still
+        sizes = np.array([t[2].size for t in todo])
+        real = np.arange(sizes.max()) < sizes[:, None]
+        rows = np.zeros(real.shape, dtype=np.intp)
+        rows[real] = np.concatenate([t[2] for t in todo])
+        weighted, feature, thr = _best_split(X, y, rows, sizes, np.sort(draws, axis=1), min_leaf)
+        split = _gini(np.array([t[3] for t in todo]), sizes) - weighted > _MIN_IMPURITY_DECREASE
+        go_left = (X[rows, feature[:, None]] <= thr[:, None]) & real
+        n_left = go_left.sum(axis=1)
+        ones_left = (go_left * y[rows]).sum(axis=1)
+        # each node's left rows, then its right rows, each in their original order
+        rows = np.take_along_axis(rows, np.argsort(~go_left, axis=1, kind="stable"), axis=1)
+        for (stack, node, _, ones), r, m, s, f, t, k, k1 in zip(
+            todo, rows, sizes.tolist(), split.tolist(), feature.tolist(), thr.tolist(),
+            n_left.tolist(), ones_left.tolist(),
+        ):
+            if not s:
+                node.proba = ((m - ones) / m, ones / m)
+                continue
+            node.feature, node.threshold = f, t
+            node.left, node.right = TreeNode(), TreeNode()
+            stack.append((node.right, r[k:m], ones - k1))
+            stack.append((node.left, r[:k], k1))
+    return trees
 
 
 def rf_train(train: Dataset, params: RfParams, seed: int) -> RfModel:
@@ -182,6 +228,8 @@ def rf_train(train: Dataset, params: RfParams, seed: int) -> RfModel:
     Tree t draws its bootstrap rows and per-node feature subsets from a
     generator seeded with `seed + t` alone, so the first k trees of a
     forest are exactly the forest grown with `n_trees=k` and the same seed.
+    The trees grow in lockstep, in blocks of _BLOCK, with one batched split
+    search per depth-first step; each tree is exactly the tree grown alone.
     """
     if train.n == 0:
         raise EmptyTraining("training set is empty")
@@ -189,10 +237,9 @@ def rf_train(train: Dataset, params: RfParams, seed: int) -> RfModel:
         raise SingleClassTraining("training set has a single class")
     mtry = params.resolve_mtry(train.d)
     trees = []
-    for t in range(params.n_trees):
-        rng = np.random.default_rng(seed + t)
-        rows = rng.integers(0, train.n, size=train.n)
-        trees.append(_grow(train.X, train.y, rows, rng, params.min_leaf, mtry))
+    for start in range(0, params.n_trees, _BLOCK):
+        seeds = range(seed + start, seed + min(start + _BLOCK, params.n_trees))
+        trees += _grow_block(train.X, train.y, seeds, params.min_leaf, mtry)
     return RfModel(trees=tuple(trees), params=params, seed=seed, n_features=train.d)
 
 

@@ -186,9 +186,14 @@ class RunConfig:
                 raise ManifestInvalid(
                     f"config: unknown feature set {fs!r}; valid: {', '.join(FEATURE_SETS)}"
                 )
-        if not isinstance(self.grid, dict) or not self.grid.get("n_trees") or not self.grid.get("min_leaf"):
+        if not isinstance(self.grid, dict):
             raise ManifestInvalid("config: grid needs nonempty n_trees and min_leaf lists")
+        unknown = set(self.grid) - {"n_trees", "min_leaf"}
+        if unknown:
+            raise ManifestInvalid(f"config: unknown grid keys: {sorted(unknown)}")
         for key in ("n_trees", "min_leaf"):
+            if not isinstance(self.grid.get(key), (list, tuple)) or not self.grid[key]:
+                raise ManifestInvalid("config: grid needs nonempty n_trees and min_leaf lists")
             for v in self.grid[key]:
                 if not _is_int_at_least(v, 1):
                     raise ManifestInvalid(
@@ -209,16 +214,13 @@ def load_config(path=None) -> RunConfig:
         raise ManifestInvalid(f"{p}: bad JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ManifestInvalid(f"{p}: config must be a JSON object")
-    kwargs = {}
-    for key in ("k", "seed", "grid", "modality_reduction"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "feature_sets" in raw:
-        kwargs["feature_sets"] = tuple(raw["feature_sets"])
     unknown = set(raw) - {"k", "seed", "grid", "modality_reduction", "feature_sets"}
     if unknown:
         raise ManifestInvalid(f"{p}: unknown config keys: {sorted(unknown)}")
-    try:
-        return RunConfig(**kwargs)
-    except TypeError as e:
-        raise ManifestInvalid(f"{p}: {e}") from e
+    kwargs = dict(raw)
+    if "feature_sets" in raw:
+        sets = raw["feature_sets"]
+        if not isinstance(sets, list) or not all(isinstance(fs, str) for fs in sets):
+            raise ManifestInvalid(f"{p}: feature_sets must be a list of strings, got {sets!r}")
+        kwargs["feature_sets"] = tuple(sets)
+    return RunConfig(**kwargs)

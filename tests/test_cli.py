@@ -9,6 +9,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 from conftest import write_bare_manifest, write_feature_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deepradiomics as dr
 from deepradiomics import gmm
@@ -21,6 +23,7 @@ from deepradiomics.errors import (
     UnknownPatient,
     WeightsMissing,
 )
+from deepradiomics.forest import expand_grid
 from deepradiomics.manifest import FEATURE_SETS, RunConfig, load_config, load_manifest
 from deepradiomics.pipeline import (
     _design_matrix,
@@ -105,6 +108,47 @@ class TestManifest:
             load_manifest(tmp_path / "m.csv")
 
 
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def config_documents(draw):
+    """Config documents with arbitrary JSON at random places.
+
+    Each known key, at the top and in `grid`, is absent, valid or arbitrary
+    JSON, and unknown keys join both levels now and then; mostly valid
+    documents let draws reach the checks behind the first one that fails.
+    """
+
+    def fill(valid):
+        doc = {}
+        for key, strategy in valid.items():
+            how = draw(st.sampled_from(["absent", "valid", "valid", "any"]))
+            if how != "absent":
+                doc[key] = draw(strategy if how == "valid" else JSON_VALUES)
+        if draw(st.integers(0, 3)) == 0:
+            doc.update(draw(st.dictionaries(st.text(max_size=6), JSON_VALUES, min_size=1, max_size=2)))
+        return doc
+
+    entries = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    grid = fill({"n_trees": entries, "min_leaf": entries})
+    doc = fill(
+        {
+            "k": st.integers(1, 3),
+            "seed": st.integers(0, 3),
+            "grid": st.just(grid),
+            "modality_reduction": st.sampled_from(["mean", "concat"]),
+            "feature_sets": st.lists(st.sampled_from(FEATURE_SETS), min_size=1, max_size=3),
+        }
+    )
+    return doc if draw(st.integers(0, 9)) else draw(JSON_VALUES)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = load_config(None)
@@ -133,8 +177,14 @@ class TestConfig:
             {"feature_sets": ["R", "X"]},
             {"modality_reduction": "median"},
             {"grid": {"n_trees": []}},
+            {"grid": {"n_trees": 5, "min_leaf": [1]}},
             {"bogus": 1},
             {"output_dir": "out"},
+            {"feature_sets": 5},
+            {"feature_sets": "R+C"},
+            {"feature_sets": "R"},
+            {"feature_sets": ["R", 5]},
+            {"feature_sets": {"R": 1}},
         ],
     )
     def test_invalid_configs(self, tmp_path, raw):
@@ -159,6 +209,35 @@ class TestConfig:
         p.write_text(json.dumps({"grid": grid}))
         with pytest.raises(ManifestInvalid, match="grid"):
             load_config(p)
+
+    def test_unknown_grid_key_is_named(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"grid": {"n_trees": [10], "min_leaf": [1], "mtry": [2]}}))
+        with pytest.raises(ManifestInvalid, match="unknown grid keys: \\['mtry'\\]"):
+            load_config(p)
+
+    @settings(max_examples=500, deadline=None)
+    @given(config_documents())
+    def test_any_json_loads_or_is_invalid(self, tmp_path_factory, doc):
+        p = tmp_path_factory.getbasetemp() / "fuzz_config.json"
+        p.write_text(json.dumps(doc))
+        try:
+            cfg = load_config(p)
+        except ManifestInvalid:
+            return
+        # an accepted config is one the pipeline can run
+        assert set(cfg.feature_sets) <= set(FEATURE_SETS)
+        assert expand_grid(cfg.grid)
+
+    def test_bad_feature_sets_is_a_clean_cli_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"feature_sets": 5}))
+        manifest = write_bare_manifest(tmp_path / "m.csv", [{"patient_id": "a", "os_months": 9, "event": 1}])
+        code = main(["classify", "--manifest", str(manifest), "--features", "f.csv",
+                     "--target", "m1", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "feature_sets" in err and err.count("\n") == 1
 
 
 # --------------------------------------------------------------------------

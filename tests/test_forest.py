@@ -174,17 +174,130 @@ def split_problems(draw):
     return X, y, rows, feats, min_leaf
 
 
+def batched_best_split(X, y, rows, feats, min_leaf, pad_seed=0):
+    """_best_split on a ragged batch, one (gini, feature, threshold) or None per node.
+
+    Rows are padded with random row indices, which _best_split must ignore.
+    """
+    sizes = np.array([r.size for r in rows])
+    padded = np.random.default_rng(pad_seed).integers(0, X.shape[0], (len(rows), sizes.max()))
+    for b, r in enumerate(rows):
+        padded[b, : r.size] = r
+    weighted, feature, thr = _best_split(X, y, padded, sizes, np.asarray(feats), min_leaf)
+    return [
+        None if w == np.inf else (float(w), int(f), float(t))
+        for w, f, t in zip(weighted, feature, thr)
+    ]
+
+
+@st.composite
+def split_batches(draw):
+    """Nodes of different sizes over one (X, y), sharing mtry and min_leaf."""
+    X, y, _, _, _ = draw(split_problems())
+    n, d = X.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))
+    rows = [rng.integers(0, n, size=m) for m in sizes]
+    mtry = draw(st.integers(1, d))
+    feats = np.array([np.sort(rng.choice(d, size=mtry, replace=False)) for _ in sizes])
+    min_leaf = draw(st.integers(1, max(sizes) // 2 + 1))
+    return X, y, rows, feats, min_leaf
+
+
 class TestBestSplit:
     @settings(max_examples=300, deadline=None)
     @given(split_problems())
     def test_matches_per_feature_search(self, problem):
-        assert _best_split(*problem) == reference_best_split(*problem)
+        X, y, rows, feats, min_leaf = problem
+        expected = reference_best_split(X, y, rows, feats, min_leaf)
+        assert batched_best_split(X, y, [rows], feats[None], min_leaf) == [expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(split_batches(), st.integers(0, 2**32 - 1))
+    def test_ragged_batch_matches_each_node_alone(self, batch, pad_seed):
+        X, y, rows, feats, min_leaf = batch
+        expected = [reference_best_split(X, y, r, f, min_leaf) for r, f in zip(rows, feats)]
+        assert batched_best_split(X, y, rows, feats, min_leaf, pad_seed) == expected
 
     def test_tie_prefers_lowest_feature_then_lowest_threshold(self):
         # both columns separate the classes equally well at two thresholds
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([0, 1, 1, 0])
-        assert _best_split(X, y, np.arange(4), np.array([0, 1]), 1)[1:] == (0, 0.5)
+        tied = np.arange(4)
+        # alone, and beside a wider node whose padding must not move the tie
+        assert batched_best_split(X, y, [tied], [[0, 1]], 1)[0][1:] == (0, 0.5)
+        batch = batched_best_split(X, y, [np.tile(tied, 3), tied], [[0, 1], [0, 1]], 1)
+        assert [b[1:] for b in batch] == [(0, 0.5), (0, 0.5)]
+
+    def test_nan_cells_sort_ahead_of_padding(self):
+        X = np.array([[0.0], [np.nan], [1.0], [2.0], [3.0]])
+        y = np.array([0, 1, 0, 1, 1])
+        rows = [np.array([1, 0, 2, 3, 4]), np.array([0, 1, 3])]
+        expected = [reference_best_split(X, y, r, np.array([0]), 1) for r in rows]
+        assert batched_best_split(X, y, rows, [[0], [0]], 1) == expected
+        assert expected[0] == (0.0, 0, 1.5)  # the NaN row goes with the right side
+
+
+def reference_grow(X, y, rows, rng, min_leaf, mtry):
+    """One tree grown alone, by recursion: the tree rf_train must reproduce exactly."""
+    n = rows.size
+    n1 = int(y[rows].sum())
+    leaf = TreeNode(proba=((n - n1) / n, n1 / n))
+    if n1 == 0 or n1 == n or n < 2 * min_leaf:
+        return leaf
+    feats = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
+    best = reference_best_split(X, y, rows, feats, min_leaf)
+    p1 = n1 / n
+    if best is None or 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1) - best[0] <= 1e-12:
+        return leaf
+    _, f, thr = best
+    go_left = X[rows, f] <= thr
+    node = TreeNode(feature=f, threshold=thr)
+    node.left = reference_grow(X, y, rows[go_left], rng, min_leaf, mtry)
+    node.right = reference_grow(X, y, rows[~go_left], rng, min_leaf, mtry)
+    return node
+
+
+def reference_rf_train(ds, params, seed):
+    mtry = params.resolve_mtry(ds.d)
+    trees = []
+    for t in range(params.n_trees):
+        rng = np.random.default_rng(seed + t)
+        rows = rng.integers(0, ds.n, size=ds.n)
+        trees.append(reference_grow(ds.X, ds.y, rows, rng, params.min_leaf, mtry))
+    return tuple(trees)
+
+
+@st.composite
+def forest_problems(draw):
+    X, _, _, _, _ = draw(split_problems())
+    n, d = X.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for f in draw(st.lists(st.integers(0, d - 1), max_size=d)):
+        X[:, f] = X[:, rng.integers(0, d)]  # duplicated column: ties across features
+    y = rng.integers(0, 2, n)
+    y[rng.choice(n, size=2, replace=False)] = [0, 1]
+    ds = Dataset(ids=tuple(f"r{i}" for i in range(n)), X=X, y=y)
+    params = RfParams(
+        # past 64 and 128 trees the forest grows in a new block
+        n_trees=draw(st.integers(1, 150)),
+        min_leaf=draw(st.integers(1, 4)),
+        mtry=draw(st.integers(1, d)),
+    )
+    return ds, params, draw(st.integers(0, 2**31))
+
+
+class TestLockstepGrowth:
+    @settings(max_examples=100, deadline=None)
+    @given(forest_problems())
+    def test_matches_trees_grown_one_at_a_time(self, problem):
+        ds, params, seed = problem
+        assert rf_train(ds, params, seed).trees == reference_rf_train(ds, params, seed)
+
+    def test_crosses_block_boundaries(self):
+        ds = blob_dataset(n_per_class=15, seed=4)
+        params = RfParams(n_trees=140, min_leaf=2, mtry=1)
+        assert rf_train(ds, params, 21).trees == reference_rf_train(ds, params, 21)
 
 
 class TestRfPredict:
