@@ -15,6 +15,7 @@ float32 payload in declared order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,17 +109,24 @@ class ActivationSet:
 # weights I/O
 # --------------------------------------------------------------------------
 
-def _segments(header: dict) -> list[tuple[str, tuple[int, ...]]]:
-    segs = [
-        ("conv1", tuple(header["conv1"])),
-        ("bias1", tuple(header["bias1"])),
-        ("conv2", tuple(header["conv2"])),
-        ("bias2", tuple(header["bias2"])),
-    ]
-    for name in ("fc_w", "fc_b", "softmax_w", "softmax_b"):
+_REQUIRED_SEGMENTS = ("conv1", "bias1", "conv2", "bias2")
+_OPTIONAL_SEGMENTS = ("fc_w", "fc_b", "softmax_w", "softmax_b")
+
+
+def _segments(header: dict, p: Path) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each declared payload segment, in payload order."""
+    segs = []
+    for name in _REQUIRED_SEGMENTS + _OPTIONAL_SEGMENTS:
         shape = header.get(name)
-        if shape is not None:
-            segs.append((name, tuple(shape)))
+        if shape is None and name in _OPTIONAL_SEGMENTS:
+            continue
+        if not isinstance(shape, list) or not all(
+            isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
+        ):
+            raise MalformedWeights(
+                f"{p}: shape of {name} must be a list of non-negative integers, got {shape!r}"
+            )
+        segs.append((name, tuple(shape)))
     return segs
 
 
@@ -147,7 +155,10 @@ def load_weights(path) -> CnnWeights:
     p = Path(path)
     if not p.exists():
         raise MissingFile(f"no weights file at {p}")
-    raw = p.read_bytes()
+    try:
+        raw = p.read_bytes()
+    except OSError as e:
+        raise MalformedWeights(f"{p}: cannot read weights file: {e}") from e
     nl = raw.find(b"\n")
     if nl < 0:
         raise MalformedWeights(f"{p}: missing header line")
@@ -155,15 +166,14 @@ def load_weights(path) -> CnnWeights:
         header = json.loads(raw[:nl].decode())
     except (ValueError, UnicodeDecodeError) as e:
         raise MalformedWeights(f"{p}: bad header: {e}") from e
+    if not isinstance(header, dict):
+        raise MalformedWeights(f"{p}: header must be a JSON object")
     if header.get("version") != WEIGHTS_FORMAT_VERSION:
         raise MalformedWeights(f"{p}: unsupported format version {header.get('version')!r}")
-    for key in ("conv1", "bias1", "conv2", "bias2"):
-        if not isinstance(header.get(key), list):
-            raise MalformedWeights(f"{p}: header missing shape for {key}")
 
-    segs = _segments(header)
+    segs = _segments(header, p)
     payload = raw[nl + 1:]
-    expected = sum(int(np.prod(shape)) for _, shape in segs)
+    expected = sum(math.prod(shape) for _, shape in segs)
     if len(payload) != 4 * expected:
         raise MalformedWeights(
             f"{p}: payload has {len(payload)} bytes, header declares {4 * expected}"
@@ -171,10 +181,12 @@ def load_weights(path) -> CnnWeights:
     arrays: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in segs:
-        n = int(np.prod(shape))
-        arrays[name] = np.frombuffer(
-            payload, dtype="<f4", count=n, offset=offset
-        ).reshape(shape).astype(np.float64)
+        n = math.prod(shape)
+        try:
+            flat = np.frombuffer(payload, dtype="<f4", count=n, offset=offset)
+            arrays[name] = flat.reshape(shape).astype(np.float64)
+        except ValueError as e:  # an empty segment with a dimension numpy cannot index
+            raise MalformedWeights(f"{p}: shape of {name} {shape!r} is too large: {e}") from e
         offset += 4 * n
     for arr in arrays.values():
         if not np.isfinite(arr).all():

@@ -74,8 +74,6 @@ class FeatureVector:
     """Per-patient deep radiomic descriptor in map-major component order."""
 
     values: np.ndarray
-    patient_id: str = ""
-    modality_reduction: str = "none"
     nonconverged: tuple[int, ...] = ()  # maps whose EM fit stopped at max_iter
 
     def __post_init__(self):
@@ -264,9 +262,7 @@ def em_fit(
 # feature vector assembly
 # --------------------------------------------------------------------------
 
-def build_feature_vector(
-    acts: ActivationSet, k: int = 2, patient_id: str = ""
-) -> FeatureVector:
+def build_feature_vector(acts: ActivationSet, k: int = 2) -> FeatureVector:
     """Fit each of the 21 maps inside its ROI and concatenate the triples.
 
     The maps of one resolution share its mask and so its sample count:
@@ -278,7 +274,6 @@ def build_feature_vector(
         fits += em_fit_rows(np.stack([collect_samples(m, mask) for m in maps]), k)
     return FeatureVector(
         values=np.concatenate([f.as_triples() for f in fits]),
-        patient_id=patient_id,
         nonconverged=tuple(i for i, f in enumerate(fits) if not f.converged),
     )
 
@@ -309,6 +304,4 @@ def reduce_modalities(vectors: list[FeatureVector], mode: str = "mean") -> Featu
         values = np.concatenate([v.values for v in vectors])
     else:
         raise ValueError(f"mode must be 'mean' or 'concat', got {mode!r}")
-    return FeatureVector(
-        values=values, patient_id=vectors[0].patient_id, modality_reduction=mode
-    )
+    return FeatureVector(values=values)

@@ -84,67 +84,66 @@ def load_manifest(path, check_files: bool = True) -> list[PatientRecord]:
     records: list[PatientRecord] = []
     seen: set[str] = set()
 
-    with open(p, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestInvalid(f"{p}: empty manifest") from None
-        if tuple(h.strip() for h in header) != MANIFEST_COLUMNS:
-            raise ManifestInvalid(
-                f"{p}: header must be exactly {','.join(MANIFEST_COLUMNS)}"
-            )
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            if len(raw) != len(MANIFEST_COLUMNS):
-                problems.append(f"line {line_no}: expected {len(MANIFEST_COLUMNS)} columns")
-                continue
-            row = dict(zip(MANIFEST_COLUMNS, (c.strip() for c in raw)))
-            pid = row["patient_id"]
-            if not pid or "," in pid:
-                problems.append(f"line {line_no}: bad patient_id {pid!r}")
-                continue
-            if pid in seen:
-                problems.append(f"{pid}: duplicate patient_id")
-                continue
-            seen.add(pid)
+    try:
+        with open(p, newline="") as f:
+            rows = list(csv.reader(f))
+    except (OSError, UnicodeDecodeError) as e:
+        raise ManifestInvalid(f"{p}: cannot read manifest: {e}") from e
+    if not rows:
+        raise ManifestInvalid(f"{p}: empty manifest")
+    if tuple(h.strip() for h in rows[0]) != MANIFEST_COLUMNS:
+        raise ManifestInvalid(f"{p}: header must be exactly {','.join(MANIFEST_COLUMNS)}")
+    for line_no, raw in enumerate(rows[1:], start=2):
+        if not raw or all(not c.strip() for c in raw):
+            continue
+        if len(raw) != len(MANIFEST_COLUMNS):
+            problems.append(f"line {line_no}: expected {len(MANIFEST_COLUMNS)} columns")
+            continue
+        row = dict(zip(MANIFEST_COLUMNS, (c.strip() for c in raw)))
+        pid = row["patient_id"]
+        if not pid or "," in pid:
+            problems.append(f"line {line_no}: bad patient_id {pid!r}")
+            continue
+        if pid in seen:
+            problems.append(f"{pid}: duplicate patient_id")
+            continue
+        seen.add(pid)
 
-            volumes = {}
-            for col in MODALITY_COLUMNS + ("mask",):
-                fp = base / row[col]
-                if check_files and not volume_exists(fp):
-                    problems.append(f"{pid}: {col} file missing: {fp}")
-                if col != "mask":
-                    volumes[col] = fp
-            age = _parse_float(row, "age", problems, 0.0, 150.0)
-            gender = _parse_float(row, "gender", problems)
-            if gender not in (0.0, 1.0):
-                problems.append(f"{pid}: gender must be 0 or 1, got {row['gender']}")
-            os_months = _parse_float(row, "os_months", problems)
-            if os_months <= 0:
-                problems.append(f"{pid}: os_months must be > 0")
-            event = _parse_float(row, "event", problems)
-            if event not in (0.0, 1.0):
-                problems.append(f"{pid}: event must be 0 or 1, got {row['event']}")
-            m1 = _parse_float(row, "macrophage_m1", problems, 0.0, 1.0)
-            neut = _parse_float(row, "neutrophils", problems, 0.0, 1.0)
-            tfh = _parse_float(row, "tfh", problems, 0.0, 1.0)
+        volumes = {}
+        for col in MODALITY_COLUMNS + ("mask",):
+            fp = base / row[col]
+            if check_files and not volume_exists(fp):
+                problems.append(f"{pid}: {col} file missing: {fp}")
+            if col != "mask":
+                volumes[col] = fp
+        age = _parse_float(row, "age", problems, 0.0, 150.0)
+        gender = _parse_float(row, "gender", problems)
+        if gender not in (0.0, 1.0):
+            problems.append(f"{pid}: gender must be 0 or 1, got {row['gender']}")
+        os_months = _parse_float(row, "os_months", problems)
+        if os_months <= 0:
+            problems.append(f"{pid}: os_months must be > 0")
+        event = _parse_float(row, "event", problems)
+        if event not in (0.0, 1.0):
+            problems.append(f"{pid}: event must be 0 or 1, got {row['event']}")
+        m1 = _parse_float(row, "macrophage_m1", problems, 0.0, 1.0)
+        neut = _parse_float(row, "neutrophils", problems, 0.0, 1.0)
+        tfh = _parse_float(row, "tfh", problems, 0.0, 1.0)
 
-            records.append(
-                PatientRecord(
-                    patient_id=pid,
-                    volumes=volumes,
-                    mask=base / row["mask"],
-                    age=age,
-                    gender=int(gender),
-                    os_months=os_months,
-                    event=int(event),
-                    macrophage_m1=m1,
-                    neutrophils=neut,
-                    tfh=tfh,
-                )
+        records.append(
+            PatientRecord(
+                patient_id=pid,
+                volumes=volumes,
+                mask=base / row["mask"],
+                age=age,
+                gender=int(gender),
+                os_months=os_months,
+                event=int(event),
+                macrophage_m1=m1,
+                neutrophils=neut,
+                tfh=tfh,
             )
+        )
 
     if not records:
         problems.append(f"{p}: no patient rows")
@@ -209,7 +208,11 @@ def load_config(path=None) -> RunConfig:
     if not p.exists():
         raise ManifestInvalid(f"config not found: {p}")
     try:
-        raw = json.loads(p.read_text())
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ManifestInvalid(f"{p}: cannot read config: {e}") from e
+    try:
+        raw = json.loads(text)
     except ValueError as e:
         raise ManifestInvalid(f"{p}: bad JSON: {e}") from e
     if not isinstance(raw, dict):

@@ -13,7 +13,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
 from .forest import Dataset, EvalReport, loocv, roc_points
 from .manifest import MODALITY_COLUMNS, TARGETS, PatientRecord, RunConfig
 from .plots import histogram_svg, km_svg, write_pgm
-from .survival import KmCurve, impute_censored, km_estimate, logrank_test, median_split
+from .survival import impute_censored, km_estimate, logrank_test, median_split
 
 log = logging.getLogger("deepradiomics")
 
@@ -131,12 +131,7 @@ def patient_features(
                 )
             cache[key] = fv
         vectors.append(cache[key])
-    reduced = gmm.reduce_modalities(vectors, mode=config.modality_reduction)
-    return gmm.FeatureVector(
-        values=reduced.values,
-        patient_id=record.patient_id,
-        modality_reduction=reduced.modality_reduction,
-    )
+    return gmm.reduce_modalities(vectors, mode=config.modality_reduction)
 
 
 def feature_header(config: RunConfig) -> list[str]:
@@ -202,7 +197,10 @@ def load_features_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     p = Path(path)
     if not p.exists():
         raise ManifestInvalid(f"features file not found: {p}")
-    lines = p.read_text().splitlines()
+    try:
+        lines = p.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ManifestInvalid(f"{p}: cannot read features file: {e}") from e
     if not lines or not lines[0].startswith("patient_id"):
         raise ManifestInvalid(f"{p}: not a feature matrix (missing header)")
     names = lines[0].split(",")[1:]
@@ -339,10 +337,6 @@ class SurvivalRow:
     auc: float
 
 
-def _km_rows(curve: KmCurve):
-    return [[s.time, s.at_risk, s.deaths, s.survival] for s in curve.steps]
-
-
 def cmd_survive(features_path, records, config: RunConfig, out_dir) -> list[SurvivalRow]:
     """KM/log-rank analysis of RF-predicted survival groups per feature set.
 
@@ -353,80 +347,47 @@ def cmd_survive(features_path, records, config: RunConfig, out_dir) -> list[Surv
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = cmd_classify(features_path, records, "survival", config, out)
-
-    ids, _, _ = load_features_csv(features_path)
-    rows = _aligned_records(ids, records)
+    # every report lists the patients in features.csv row order
+    first = next(iter(reports.values()))
+    rows = _aligned_records([pid for pid, _, _ in first.per_patient_scores], records)
     times = np.array([r.os_months for r in rows])
     events = np.array([r.event for r in rows])
 
     table: list[SurvivalRow] = []
     for fs, report in reports.items():
-        scores = np.array([s for _, s, _ in report.per_patient_scores])
-        predicted_long = scores >= 0.5
-        nan = float("nan")
+        predicted_long = np.array([s for _, s, _ in report.per_patient_scores]) >= 0.5
         if predicted_long.all() or (~predicted_long).all():
             log.warning("feature set %s: all patients predicted in one group", fs)
-            row = SurvivalRow(fs, None, None, None, nan, nan, None, report.auc)
-            write_json(
-                out / f"logrank_{fs}.json",
-                {
-                    "chi2": None,
-                    "p": None,
-                    "hr": None,
-                    "ci_low": None,
-                    "ci_high": None,
-                    "median_short": None,
-                    "median_long": None,
-                },
-            )
+            chi2 = None
+            row = SurvivalRow(fs, None, None, None, math.nan, math.nan, None, report.auc)
         else:
             short = ~predicted_long
             result = logrank_test(
                 times[short], events[short], times[predicted_long], events[predicted_long]
             )
-            km_short = km_estimate(times[short], events[short])
-            km_long = km_estimate(times[predicted_long], events[predicted_long])
-            write_csv(
-                out / f"km_short_{fs}.csv",
-                ["time", "at_risk", "deaths", "survival"],
-                _km_rows(km_short),
-            )
-            write_csv(
-                out / f"km_long_{fs}.csv",
-                ["time", "at_risk", "deaths", "survival"],
-                _km_rows(km_long),
-            )
-            (out / f"km_{fs}.svg").write_text(
-                km_svg(
-                    [
-                        ("predicted short", list(km_short.steps)),
-                        ("predicted long", list(km_long.steps)),
-                    ],
-                    f"Predicted survival groups ({fs})",
-                )
-            )
-            write_json(
-                out / f"logrank_{fs}.json",
-                {
-                    "chi2": _jsonable(result.chi2),
-                    "p": _jsonable(result.p_value),
-                    "hr": _jsonable(result.hazard_ratio),
-                    "ci_low": _jsonable(result.ci95[0]),
-                    "ci_high": _jsonable(result.ci95[1]),
-                    "median_short": result.group_medians[0],
-                    "median_long": result.group_medians[1],
-                },
-            )
+            chi2 = result.chi2
             row = SurvivalRow(
-                feature_set=fs,
-                median_short=result.group_medians[0],
-                median_long=result.group_medians[1],
-                hazard_ratio=result.hazard_ratio,
-                ci_low=result.ci95[0],
-                ci_high=result.ci95[1],
-                p_value=result.p_value,
-                auc=report.auc,
+                fs, *result.group_medians, result.hazard_ratio, *result.ci95, result.p_value, report.auc
             )
+            curves = []
+            for name, group in (("short", short), ("long", predicted_long)):
+                steps = km_estimate(times[group], events[group]).steps
+                header = ["time", "at_risk", "deaths", "survival"]
+                write_csv(out / f"km_{name}_{fs}.csv", header, map(astuple, steps))
+                curves.append((f"predicted {name}", list(steps)))
+            (out / f"km_{fs}.svg").write_text(km_svg(curves, f"Predicted survival groups ({fs})"))
+        write_json(
+            out / f"logrank_{fs}.json",
+            {
+                "chi2": _jsonable(chi2),
+                "p": _jsonable(row.p_value),
+                "hr": _jsonable(row.hazard_ratio),
+                "ci_low": _jsonable(row.ci_low),
+                "ci_high": _jsonable(row.ci_high),
+                "median_short": _jsonable(row.median_short),
+                "median_long": _jsonable(row.median_long),
+            },
+        )
         table.append(row)
 
     def cell(v):
@@ -435,19 +396,7 @@ def cmd_survive(features_path, records, config: RunConfig, out_dir) -> list[Surv
     write_csv(
         out / "survival_report.csv",
         ["feature_set", "median_short", "median_long", "hr", "ci_low", "ci_high", "p_value", "auc"],
-        [
-            [
-                r.feature_set,
-                cell(r.median_short),
-                cell(r.median_long),
-                cell(r.hazard_ratio),
-                cell(r.ci_low),
-                cell(r.ci_high),
-                cell(r.p_value),
-                float(r.auc),
-            ]
-            for r in table
-        ],
+        [[r.feature_set] + [cell(v) for v in astuple(r)[1:]] for r in table],
     )
     return table
 

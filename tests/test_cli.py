@@ -1,8 +1,10 @@
 """Manifest/config handling, pipeline commands and the radiomics CLI."""
 
+import dataclasses
 import functools
 import json
 import logging
+import math
 import re
 import xml.etree.ElementTree as ET
 
@@ -13,19 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deepradiomics as dr
-from deepradiomics import gmm
+from deepradiomics import gmm, pipeline
 from deepradiomics.cli import main
 from deepradiomics.errors import (
     BadMapIndex,
     DegenerateLabels,
+    MalformedWeights,
     ManifestInvalid,
     MissingColumn,
+    RadiomicsError,
     UnknownPatient,
     WeightsMissing,
 )
 from deepradiomics.forest import expand_grid
 from deepradiomics.manifest import FEATURE_SETS, RunConfig, load_config, load_manifest
 from deepradiomics.pipeline import (
+    SurvivalRow,
     _design_matrix,
     cmd_classify,
     cmd_extract,
@@ -238,6 +243,77 @@ class TestConfig:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "feature_sets" in err and err.count("\n") == 1
+
+
+# --------------------------------------------------------------------------
+# input files that cannot be read or decoded
+# --------------------------------------------------------------------------
+
+LOADERS = {
+    "config": (load_config, ManifestInvalid),
+    "manifest": (load_manifest, ManifestInvalid),
+    "features": (load_features_csv, ManifestInvalid),
+    "weights": (dr.load_weights, MalformedWeights),
+}
+
+
+@st.composite
+def byte_mutations(draw, data: bytes):
+    """`data` after 1-6 random byte replacements, insertions or deletions."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(out)))
+        chunk = draw(st.binary(min_size=1, max_size=4))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "delete":
+            del out[i : i + len(chunk)]
+        else:
+            out[i : i + len(chunk) * (op == "replace")] = chunk
+    return bytes(out)
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_is_a_clean_error_naming_the_path(self, tmp_path, loader, kind):
+        load, error = LOADERS[loader]
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"patient_id,\xff\xfe\n\x80,1\n")
+        with pytest.raises(error) as info:
+            load(path)
+        assert str(path) in str(info.value)
+
+    def test_directory_manifest_is_a_clean_cli_error(self, tmp_path, capsys):
+        code = main(["survive", "--manifest", str(tmp_path), "--features", "f.csv",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mutated_file_loads_or_is_invalid(self, tmp_path_factory, data):
+        root = tmp_path_factory.getbasetemp()
+        rows = [{"patient_id": f"P{i}", "os_months": 5.5 + i, "event": i % 2} for i in range(3)]
+        valid = {
+            "manifest": write_bare_manifest(root / "valid_manifest.csv", rows),
+            "features": write_feature_csv(
+                root / "valid_features.csv", ["P0", "P1", "P2"], np.arange(189.0).reshape(3, 63) / 7, k=1
+            ),
+        }
+        kind = data.draw(st.sampled_from(sorted(valid)))
+        path = root / f"mutated_{kind}.csv"
+        path.write_bytes(data.draw(byte_mutations(valid[kind].read_bytes())))
+        try:
+            if kind == "manifest":
+                load_manifest(path, check_files=data.draw(st.booleans()))
+            else:
+                load_features_csv(path)
+        except RadiomicsError:
+            pass
 
 
 # --------------------------------------------------------------------------
@@ -500,6 +576,52 @@ class TestSurvive:
         cmd_survive(features, records, cfg, out)
         root = ET.fromstring((out / "km_R.svg").read_text())
         assert root.tag.endswith("svg")
+
+    @staticmethod
+    def pin_scores(monkeypatch, score_of_label):
+        """Replace each LOOCV score by score_of_label(true label); AUC stays real."""
+        real_loocv = pipeline.loocv
+
+        def pinned(data, grid, seed):
+            report = real_loocv(data, grid, seed)
+            scores = tuple((pid, score_of_label(y), y) for pid, _, y in report.per_patient_scores)
+            return dataclasses.replace(report, per_patient_scores=scores)
+
+        monkeypatch.setattr(pipeline, "loocv", pinned)
+
+    @pytest.mark.parametrize("score", [0.75, 0.25], ids=["all-long", "all-short"])
+    def test_one_predicted_group_writes_null_record(self, tmp_path, monkeypatch, caplog, score):
+        features, records = survival_cohort(tmp_path, seed=10)
+        self.pin_scores(monkeypatch, lambda y: score)
+        cfg = RunConfig(seed=10, grid={"n_trees": [10], "min_leaf": [2]}, feature_sets=("R",))
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="deepradiomics"):
+            (row,) = cmd_survive(features, records, cfg, out)
+        assert caplog.messages == ["feature set R: all patients predicted in one group"]
+        keys = ["chi2", "p", "hr", "ci_low", "ci_high", "median_short", "median_long"]
+        assert json.loads((out / "logrank_R.json").read_text()) == dict.fromkeys(keys, None)
+        assert not list(out.glob("km_*"))
+        assert repr(row) == repr(SurvivalRow("R", None, None, None, np.nan, np.nan, None, row.auc))
+        report = (out / "survival_report.csv").read_text().splitlines()
+        assert report[1] == f"R,nan,nan,nan,nan,nan,nan,{row.auc!r}"
+
+    def test_infinite_hazard_ratio_is_null_in_json_and_inf_in_csv(self, tmp_path, monkeypatch):
+        # long survivors all censored and predicted exactly: the long group sees no deaths
+        features, records = survival_cohort(tmp_path, seed=11)
+        records = [dataclasses.replace(r, event=int(r.os_months < 20)) for r in records]
+        self.pin_scores(monkeypatch, lambda y: 0.9 if y else 0.1)
+        cfg = RunConfig(seed=11, grid={"n_trees": [10], "min_leaf": [2]}, feature_sets=("R",))
+        out = tmp_path / "out"
+        (row,) = cmd_survive(features, records, cfg, out)
+        assert row.hazard_ratio == math.inf and row.median_long is None
+        payload = json.loads((out / "logrank_R.json").read_text())
+        assert payload["hr"] is None and payload["ci_low"] is None and payload["chi2"] > 0
+        assert payload["p"] == row.p_value and payload["median_short"] == row.median_short
+        cells = (out / "survival_report.csv").read_text().splitlines()[1].split(",")
+        assert cells[:5] == ["R", repr(row.median_short), "nan", "inf", "nan"]
+        # the censored long group never steps; the short group starts with all 12 at risk
+        assert (out / "km_long_R.csv").read_text() == "time,at_risk,deaths,survival\n"
+        assert (out / "km_short_R.csv").read_text().splitlines()[1].split(",")[1] == "12"
 
 
 # --------------------------------------------------------------------------

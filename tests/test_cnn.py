@@ -1,5 +1,7 @@
 """Convolution engine against brute-force oracles; weights I/O; forward pass."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +212,27 @@ class TestWeights:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             load_weights(tmp_path / "nope.bin")
+
+    @pytest.mark.parametrize(
+        "header,match",
+        [
+            ([1, 2], "JSON object"),
+            ({"conv1": [10, 2, 2, 2, "a"]}, "conv1"),
+            ({"conv1": [-10, 2, 2, 2, -1]}, "conv1"),
+            ({"fc_w": 5}, "fc_w"),
+            ({"bias1": [True, 10]}, "bias1"),
+            ({"fc_w": [0, 10**30], "fc_b": [0]}, "fc_w"),
+        ],
+        ids=["not-object", "string-dim", "negative-dims", "scalar-shape", "bool-dim", "huge-empty"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header, match):
+        save_weights(dr.generate_test_weights(1), tmp_path / "w.bin")
+        head, payload = (tmp_path / "w.bin").read_bytes().split(b"\n", 1)
+        if isinstance(header, dict):
+            header = {**json.loads(head), **header}
+        (tmp_path / "w.bin").write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(MalformedWeights, match=match):
+            load_weights(tmp_path / "w.bin")
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(MalformedWeights):
