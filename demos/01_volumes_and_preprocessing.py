@@ -14,9 +14,6 @@ import numpy as np
 
 import deepradiomics as dr
 
-out = Path(tempfile.mkdtemp(prefix="radiomics_demo_"))
-print(f"writing into {out}\n")
-
 # -- a 40x32x24 volume at anisotropic spacing with an ellipsoid "tumour" ----
 rng = np.random.default_rng(0)
 dims, spacing = (40, 32, 24), (1.0, 1.25, 2.0)
@@ -28,15 +25,19 @@ vol = dr.Volume3D(data=data, spacing=spacing, modality="T1CE")
 mask = dr.RoiMask(voxels=inside.astype(np.uint8))
 print(f"volume dims {vol.dims}, spacing {vol.spacing} mm, ROI voxels {mask.count}")
 
-# -- round-trip through the on-disk format ----------------------------------
-dr.save_volume(vol, out / "tumour")
-dr.save_mask(mask, out / "tumour_mask", spacing=spacing)
-reloaded = dr.load_volume(out / "tumour.vol.json")
-print(f"round-trip intact: {np.allclose(reloaded.data, vol.data.astype(np.float32))}")
+# -- round-trip through the on-disk format, in a directory removed afterwards --
+with tempfile.TemporaryDirectory(prefix="radiomics_demo_") as tmp:
+    out = Path(tmp)
+    print(f"\nwriting into {out}")
+    dr.save_volume(vol, out / "tumour")
+    dr.save_mask(mask, out / "tumour_mask", spacing=spacing)
+    reloaded = dr.load_volume(out / "tumour.vol.json")
+    reloaded_mask = dr.load_mask(out / "tumour_mask.vol.json")
+print(f"round-trip intact: {np.allclose(reloaded.data, vol.data.astype(np.float32))}\n")
 
 # -- resample both onto the isotropic 1 mm grid ------------------------------
 iso = dr.resample_isotropic(reloaded, 1.0)
-iso_mask = dr.resample_mask(dr.load_mask(out / "tumour_mask.vol.json"), spacing, 1.0)
+iso_mask = dr.resample_mask(reloaded_mask, spacing, 1.0)
 print(f"after resampling: dims {iso.dims}, ROI voxels {iso_mask.count}")
 
 # -- intensity standardisation ------------------------------------------------

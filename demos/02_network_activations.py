@@ -38,8 +38,8 @@ for idx, (m, roi) in enumerate(acts.maps_with_masks()):
 assert all(m.data.min() >= 0 for m in acts.layer1_maps + acts.layer2_maps)
 print("\nall convolutional activations are >= 0 (ReLU)")
 
-# -- dump a central slice of the first layer-1 map ---------------------------
-out = Path(tempfile.mkdtemp(prefix="radiomics_demo_"))
-slice_img = acts.layer1_maps[0].data[:, :, 16].T
-write_pgm(out / "layer1_map0_slice.pgm", slice_img)
-print(f"wrote {out / 'layer1_map0_slice.pgm'}")
+# -- dump a central slice of the first layer-1 map, in a directory removed afterwards
+with tempfile.TemporaryDirectory(prefix="radiomics_demo_") as tmp:
+    pgm = Path(tmp) / "layer1_map0_slice.pgm"
+    write_pgm(pgm, acts.layer1_maps[0].data[:, :, 16].T)
+    print(f"wrote {pgm} ({pgm.stat().st_size} bytes)")

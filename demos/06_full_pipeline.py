@@ -28,7 +28,8 @@ import deepradiomics as dr
 from deepradiomics.manifest import RunConfig, load_manifest
 from deepradiomics.pipeline import cmd_extract, cmd_survive
 
-root = Path(tempfile.mkdtemp(prefix="radiomics_demo_"))
+tmp = tempfile.TemporaryDirectory(prefix="radiomics_demo_")  # removed at the end
+root = Path(tmp.name)
 print(f"cohort directory: {root}\n")
 
 # -- synthesize volumes, masks and the manifest -------------------------------
@@ -67,6 +68,8 @@ for row in table:
     print(f"  predicted-group medians: short {row.median_short:.1f} / long {row.median_long:.1f} months")
     print(f"  log-rank p = {row.p_value:.3e}, HR = {row.hazard_ratio:.2f}")
 
-print(f"\nreports written to {root / 'out'}:")
+print(f"\nreports written to {root / 'out'} (removed when the demo ends):")
 for path in sorted((root / "out").iterdir()):
     print(f"  {path.name}")
+
+tmp.cleanup()

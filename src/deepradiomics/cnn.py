@@ -330,6 +330,24 @@ def downsample_mask(mask: RoiMask) -> RoiMask:
 # forward pass
 # --------------------------------------------------------------------------
 
+def _conv_relu_pool(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """maxpool3d(relu(conv3d(x, filters, bias, padding="same"))), two planes at a time.
+
+    For a 2-wide kernel, 'same' padding is one zero plane at the high end of
+    each axis.  Pooled output plane i needs conv planes 2i and 2i+1, which
+    read padded input planes 2i..2i+2, so each slab goes through the same
+    float operations in the same order as the whole volume would: the
+    result is bit-identical, and only one slab's conv output is ever alive.
+    """
+    xp = np.pad(x, [(0, 0), (0, 1), (0, 1), (0, 1)])
+    n = x.shape[1]
+    out = np.empty((filters.shape[0], n // 2, n // 2, n // 2))
+    for i in range(0, n, 2):
+        slab = conv3d(xp[:, i : i + 3], filters, bias, stride=1, padding="valid")
+        out[:, i // 2 : i // 2 + 1] = maxpool3d(relu(slab))
+    return out
+
+
 def forward(input64: Volume3D, mask64: RoiMask, weights: CnnWeights) -> ActivationSet:
     """Run the fixed network on one 64^3 input volume.
 
@@ -343,8 +361,8 @@ def forward(input64: Volume3D, mask64: RoiMask, weights: CnnWeights) -> Activati
         raise ShapeMismatch(f"mask dims {mask64.dims} != input dims {input64.dims}")
 
     x0 = np.asarray(input64.data, dtype=np.float64)[None]
-    a1 = maxpool3d(relu(conv3d(x0, weights.conv1, weights.bias1, stride=1, padding="same")))
-    a2 = maxpool3d(relu(conv3d(a1, weights.conv2, weights.bias2, stride=1, padding="same")))
+    a1 = _conv_relu_pool(x0, weights.conv1, weights.bias1)
+    a2 = _conv_relu_pool(a1, weights.conv2, weights.bias2)
 
     mask32 = downsample_mask(mask64)
     mask16 = downsample_mask(mask32)

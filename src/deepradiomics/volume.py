@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,6 +105,15 @@ def volume_exists(path) -> bool:
     return side.exists() and raw.exists()
 
 
+def _is_count(d) -> bool:
+    return isinstance(d, int) and not isinstance(d, bool) and d > 0
+
+
+def _is_spacing(s) -> bool:
+    # the upper bound also rejects ints too large to convert to float
+    return isinstance(s, (int, float)) and not isinstance(s, bool) and 0 < s <= sys.float_info.max
+
+
 def read_header(path) -> dict:
     """Parse and validate a `.vol.json` sidecar; returns the header dict."""
     side, raw = _sidecar_paths(path)
@@ -113,28 +123,30 @@ def read_header(path) -> dict:
         raise MissingFile(f"no payload at {raw}")
     try:
         hdr = json.loads(side.read_text())
-    except (ValueError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:  # a directory; bad UTF-8 or JSON
         raise MalformedHeader(f"{side}: {e}") from e
+    if not isinstance(hdr, dict):
+        raise MalformedHeader(f"{side}: header must be a JSON object")
     dims = hdr.get("dims")
     spacing = hdr.get("spacing_mm")
     dtype = hdr.get("dtype")
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 3
-        or not all(isinstance(d, int) and d > 0 for d in dims)
-    ):
+    if not isinstance(dims, list) or len(dims) != 3 or not all(map(_is_count, dims)):
         raise MalformedHeader(f"{side}: bad dims {dims!r}")
-    if (
-        not isinstance(spacing, list)
-        or len(spacing) != 3
-        or not all(
-            isinstance(s, (int, float)) and math.isfinite(s) and s > 0 for s in spacing
-        )
-    ):
+    if not isinstance(spacing, list) or len(spacing) != 3 or not all(map(_is_spacing, spacing)):
         raise MalformedHeader(f"{side}: bad spacing_mm {spacing!r}")
     if dtype not in ("f32le", "u8"):
         raise MalformedHeader(f"{side}: bad dtype {dtype!r}")
     return hdr
+
+
+def _read_payload(raw: Path, nbytes: int) -> bytes:
+    try:
+        payload = raw.read_bytes()
+    except OSError as e:  # a directory, say
+        raise MalformedHeader(f"{raw}: cannot read payload: {e}") from e
+    if len(payload) != nbytes:
+        raise MalformedHeader(f"{raw}: payload has {len(payload)} bytes, header declares {nbytes}")
+    return payload
 
 
 def load_volume(path) -> Volume3D:
@@ -147,11 +159,7 @@ def load_volume(path) -> Volume3D:
     if modality not in MODALITIES:
         raise MalformedHeader(f"{side}: unknown modality {modality!r}")
     nx, ny, nz = hdr["dims"]
-    payload = raw.read_bytes()
-    if len(payload) != 4 * nx * ny * nz:
-        raise MalformedHeader(
-            f"{raw}: payload has {len(payload)} bytes, header declares {4 * nx * ny * nz}"
-        )
+    payload = _read_payload(raw, 4 * nx * ny * nz)
     data = np.frombuffer(payload, dtype="<f4").reshape((nx, ny, nz), order="F")
     if not np.isfinite(data).all():
         raise NonFiniteData(f"{raw}: payload contains NaN or Inf")
@@ -180,11 +188,7 @@ def load_mask(path) -> RoiMask:
     if hdr["dtype"] != "u8":
         raise MalformedHeader(f"{side}: expected dtype u8, got {hdr['dtype']!r}")
     nx, ny, nz = hdr["dims"]
-    payload = raw.read_bytes()
-    if len(payload) != nx * ny * nz:
-        raise MalformedHeader(
-            f"{raw}: payload has {len(payload)} bytes, header declares {nx * ny * nz}"
-        )
+    payload = _read_payload(raw, nx * ny * nz)
     voxels = np.frombuffer(payload, dtype=np.uint8).reshape((nx, ny, nz), order="F")
     return RoiMask(voxels=voxels.copy())
 

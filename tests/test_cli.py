@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import re
+import shutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -720,6 +721,20 @@ class TestMain:
                      str(small_cohort.parent / "weights.bin"), "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    def test_bad_sidecar_skips_patient(self, small_cohort, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(small_cohort.parent, cohort)
+        (cohort / "S00_a.vol.json").write_text("[1, 2, 3]")
+        code = main(["extract", "--manifest", str(cohort / small_cohort.name),
+                     "--weights", str(cohort / "weights.bin"), "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "extracted 4/5" in captured.out
+        assert "failed S00: MalformedHeader:" in captured.err
+        assert "S00_a.vol.json" in captured.err and "Traceback" not in captured.err
+        ids, _, _ = load_features_csv(tmp_path / "out" / "features.csv")
+        assert "S00" not in ids
 
     def test_fatal_error_exit_code(self, tmp_path):
         code = main(["extract", "--manifest", str(tmp_path / "none.csv"),

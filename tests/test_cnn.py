@@ -1,6 +1,7 @@
 """Convolution engine against brute-force oracles; weights I/O; forward pass."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from deepradiomics.errors import (
     NonFiniteWeights,
     ShapeMismatch,
 )
+from deepradiomics.volume import extract_cnn_input
 
 
 # --------------------------------------------------------------------------
@@ -273,6 +275,29 @@ def sphere_input(radius=24.0):
     return vol, dr.RoiMask(voxels=inside.astype(np.uint8))
 
 
+def forward_ref(x, w):
+    """forward's whole-volume composition before it ran in two-plane slabs."""
+    a1 = dr.maxpool3d(dr.relu(dr.conv3d(x[None], w.conv1, w.bias1, padding="same")))
+    a2 = dr.maxpool3d(dr.relu(dr.conv3d(a1, w.conv2, w.bias2, padding="same")))
+    return a1, a2
+
+
+@st.composite
+def network_inputs(draw):
+    """64^3 inputs: raw values of either sign, or a zero-padded ROI crop."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([1e-3, 1.0, 255.0, 1e4]))
+        return rng.standard_normal((64, 64, 64)) * scale
+    dims = tuple(int(n) for n in rng.integers(6, 40, size=3))
+    lo = [int(rng.integers(0, n // 2)) for n in dims]
+    hi = [int(rng.integers(a + 1, n + 1)) for a, n in zip(lo, dims)]
+    vox = np.zeros(dims, dtype=np.uint8)
+    vox[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = 1
+    vol = dr.Volume3D(data=rng.uniform(0.0, 255.0, dims), spacing=(1, 1, 1))
+    return extract_cnn_input(vol, dr.RoiMask(voxels=vox))[0].data
+
+
 class TestForward:
     def test_shape_contract(self):
         vol, mask = sphere_input()
@@ -324,6 +349,34 @@ class TestForward:
         got2 = np.stack([m.data for m in acts.layer2_maps])
         np.testing.assert_allclose(got1, a1_ref, rtol=1e-5, atol=1e-10)
         np.testing.assert_allclose(got2, a2_ref, rtol=1e-5, atol=1e-10)
+
+    @settings(max_examples=50, deadline=None)
+    @given(x=network_inputs(), weight_seed=st.integers(0, 2**16), zero_bias=st.booleans())
+    def test_bit_identical_to_whole_volume_composition(self, x, weight_seed, zero_bias):
+        w = dr.generate_test_weights(weight_seed)
+        if zero_bias:
+            w = CnnWeights(conv1=w.conv1, bias1=np.zeros(10), conv2=w.conv2, bias2=np.zeros(10))
+        vol = dr.Volume3D(data=x, spacing=(1, 1, 1))
+        acts = forward(vol, dr.RoiMask(voxels=np.ones(x.shape, np.uint8)), w)
+        a1, a2 = forward_ref(x, w)
+        for i in range(10):
+            assert np.array_equal(acts.layer1_maps[i].data, a1[i])
+            assert np.array_equal(acts.layer2_maps[i].data, a2[i])
+
+    def test_peak_memory_bound(self):
+        # the padded layer input, the outputs and one slab's conv, ReLU and
+        # pooling temporaries: about 6.6 MiB, all of fixed size
+        vol, mask = sphere_input()
+        w = dr.generate_test_weights(42)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            forward(vol, mask, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 8 * 2**20
 
     def test_mask_downsampling_definition(self):
         rng = np.random.default_rng(9)

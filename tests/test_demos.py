@@ -13,9 +13,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # demos that mkdtemp leave their directories under the test's tmp_path
+    # TMPDIR points the demos' temporary directories into tmp_path, where
+    # the test can check that each demo removed its own
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
+    assert not list(tmp_path.glob("radiomics_demo_*"))

@@ -145,6 +145,54 @@ class TestVolumeIO:
         with pytest.raises(MalformedHeader):
             dr.load_volume(tmp_path / "v.vol.json")
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"dims": [True, True, True]},
+            {"dims": [2, 2, 2.0]},
+            {"spacing_mm": [True, 1, 1]},
+            {"spacing_mm": [1, 1, 10**400]},
+            {"spacing_mm": [1, 1, "1"]},
+        ],
+        ids=["bool-dims", "float-dim", "bool-spacing", "huge-int-spacing", "string-spacing"],
+    )
+    def test_non_numeric_header_values(self, tmp_path, patch):
+        hdr = {"dims": [1, 1, 1], "spacing_mm": [1, 1, 1], "dtype": "u8", "modality": "DERIVED"}
+        hdr.update(patch)
+        (tmp_path / "v.vol.json").write_text(json.dumps(hdr))
+        (tmp_path / "v.vol.raw").write_bytes(b"\x01")
+        key = next(iter(patch))
+        with pytest.raises(MalformedHeader, match=f"v.vol.json: bad {key}"):
+            read_header(tmp_path / "v.vol.json")
+        with pytest.raises(MalformedHeader, match=f"v.vol.json: bad {key}"):
+            dr.load_mask(tmp_path / "v.vol.json")
+
+    @pytest.mark.parametrize("doc", ["[1, 2, 3]", '"dims"', "null", "7"])
+    def test_header_must_be_an_object(self, tmp_path, doc):
+        (tmp_path / "v.vol.json").write_text(doc)
+        (tmp_path / "v.vol.raw").write_bytes(b"")
+        with pytest.raises(MalformedHeader, match="v.vol.json: header must be a JSON object"):
+            read_header(tmp_path / "v.vol.json")
+        with pytest.raises(MalformedHeader, match="v.vol.json: header must be a JSON object"):
+            dr.load_volume(tmp_path / "v.vol.json")
+
+    def test_directory_sidecar(self, tmp_path):
+        (tmp_path / "v.vol.json").mkdir()
+        (tmp_path / "v.vol.raw").write_bytes(np.zeros(1, "<f4").tobytes())
+        for load in (read_header, dr.load_volume, dr.load_mask):
+            with pytest.raises(MalformedHeader, match="v.vol.json"):
+                load(tmp_path / "v.vol.json")
+
+    def test_directory_payload(self, tmp_path):
+        hdr = {"dims": [1, 1, 1], "spacing_mm": [1, 1, 1], "dtype": "f32le"}
+        (tmp_path / "v.vol.json").write_text(json.dumps(hdr))
+        (tmp_path / "v.vol.raw").mkdir()
+        with pytest.raises(MalformedHeader, match="v.vol.raw: cannot read payload"):
+            dr.load_volume(tmp_path / "v.vol.json")
+        (tmp_path / "v.vol.json").write_text(json.dumps({**hdr, "dtype": "u8"}))
+        with pytest.raises(MalformedHeader, match="v.vol.raw: cannot read payload"):
+            dr.load_mask(tmp_path / "v.vol.json")
+
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((5, 4, 3)).astype(np.float32)
