@@ -164,7 +164,7 @@ def load_weights(path) -> CnnWeights:
         raise MalformedWeights(f"{p}: missing header line")
     try:
         header = json.loads(raw[:nl].decode())
-    except (ValueError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # bad UTF-8; bad or deep JSON
         raise MalformedWeights(f"{p}: bad header: {e}") from e
     if not isinstance(header, dict):
         raise MalformedWeights(f"{p}: header must be a JSON object")

@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     DimMismatch,
     EmptyTraining,
+    NonFiniteData,
     SingleClass,
     SingleClassTraining,
     TooFewRows,
@@ -267,15 +267,28 @@ def rf_predict(model: RfModel, row) -> float:
 # metrics
 # --------------------------------------------------------------------------
 
-def compute_auc(scores, labels) -> float:
-    """Mann-Whitney AUC: P(score_pos > score_neg) with ties counting 0.5."""
+def _scored_labels(scores, labels, what: str):
+    """(scores, labels, n_pos, n_neg) for a binary metric; NaN scores are rejected."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
-        raise SingleClass("AUC needs both classes")
-    ranks = rankdata(s)
+        raise SingleClass(f"{what} needs both classes")
+    if np.isnan(s).any():
+        raise NonFiniteData(f"{what} scores contain NaN")
+    return s, y, n_pos, n_neg
+
+
+def compute_auc(scores, labels) -> float:
+    """Mann-Whitney AUC: P(score_pos > score_neg) with ties counting 0.5.
+
+    Average ranks are whole or half integers, so the rank sum is exact.
+    """
+    s, y, n_pos, n_neg = _scored_labels(scores, labels, "AUC")
+    # each distinct score ranks at the mean of the sorted positions it spans
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -293,12 +306,7 @@ def confusion_matrix(scores, labels, threshold: float = 0.5) -> np.ndarray:
 
 def roc_points(scores, labels) -> list[tuple[float, float]]:
     """(fpr, tpr) pairs from the all-negative to the all-positive corner."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClass("ROC needs both classes")
+    s, y, n_pos, n_neg = _scored_labels(scores, labels, "ROC")
     points = [(0.0, 0.0)]
     for thr in np.unique(s)[::-1]:
         pred = s >= thr

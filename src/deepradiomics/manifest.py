@@ -213,7 +213,7 @@ def load_config(path=None) -> RunConfig:
         raise ManifestInvalid(f"{p}: cannot read config: {e}") from e
     try:
         raw = json.loads(text)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # bad or deep JSON
         raise ManifestInvalid(f"{p}: bad JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ManifestInvalid(f"{p}: config must be a JSON object")

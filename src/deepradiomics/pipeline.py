@@ -109,29 +109,24 @@ def volume_activations(vol_path, mask_path, weights: cnn.CnnWeights) -> cnn.Acti
 
 def patient_features(
     record: PatientRecord, weights: cnn.CnnWeights, config: RunConfig
-) -> gmm.FeatureVector:
+) -> tuple[gmm.FeatureVector, list[tuple[str, tuple[int, ...]]]]:
     """Per-modality feature vectors reduced to one vector per patient.
 
     Identical volume paths within a patient are computed once and reused.
-    A volume with mixture fits that stopped at the iteration cap gets one
-    warning naming the maps.
+    Also returns (modality, maps) for each computed volume whose mixture
+    fits stopped at the iteration cap, so the caller can report them.
     """
     cache: dict[str, gmm.FeatureVector] = {}
     vectors = []
+    nonconverged = []
     for col in MODALITY_COLUMNS:
         key = str(record.volumes[col])
         if key not in cache:
-            fv = volume_features(record.volumes[col], record.mask, weights, config.k)
-            if fv.nonconverged:
-                log.warning(
-                    "%s %s: EM stopped at its iteration cap without converging for maps %s",
-                    record.patient_id,
-                    col,
-                    ", ".join(map(str, fv.nonconverged)),
-                )
-            cache[key] = fv
+            cache[key] = volume_features(record.volumes[col], record.mask, weights, config.k)
+            if cache[key].nonconverged:
+                nonconverged.append((col, cache[key].nonconverged))
         vectors.append(cache[key])
-    return gmm.reduce_modalities(vectors, mode=config.modality_reduction)
+    return gmm.reduce_modalities(vectors, mode=config.modality_reduction), nonconverged
 
 
 def feature_header(config: RunConfig) -> list[str]:
@@ -161,9 +156,9 @@ def cmd_extract(records, weights_path, config: RunConfig, out_dir) -> ExtractRes
 
     def one(record):
         try:
-            return patient_features(record, weights, config), None
+            return *patient_features(record, weights, config), None
         except (RadiomicsError, ValueError) as e:
-            return None, f"{type(e).__name__}: {e}"
+            return None, [], f"{type(e).__name__}: {e}"
 
     workers = thread_count()
     if workers > 1:
@@ -174,7 +169,15 @@ def cmd_extract(records, weights_path, config: RunConfig, out_dir) -> ExtractRes
 
     rows = []
     failures = []
-    for record, (fv, err) in zip(records, results):
+    # logged here, not in the workers, so the warnings follow manifest order
+    for record, (fv, nonconverged, err) in zip(records, results):
+        for col, maps in nonconverged:
+            log.warning(
+                "%s %s: EM stopped at its iteration cap without converging for maps %s",
+                record.patient_id,
+                col,
+                ", ".join(map(str, maps)),
+            )
         if fv is None:
             log.warning("skipping %s: %s", record.patient_id, err)
             failures.append((record.patient_id, err))

@@ -123,7 +123,7 @@ def read_header(path) -> dict:
         raise MissingFile(f"no payload at {raw}")
     try:
         hdr = json.loads(side.read_text())
-    except (OSError, ValueError) as e:  # a directory; bad UTF-8 or JSON
+    except (OSError, ValueError, RecursionError) as e:  # a directory; bad UTF-8; bad or deep JSON
         raise MalformedHeader(f"{side}: {e}") from e
     if not isinstance(hdr, dict):
         raise MalformedHeader(f"{side}: header must be a JSON object")

@@ -5,9 +5,15 @@ import functools
 import json
 import logging
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
+import textwrap
+import threading
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +222,15 @@ class TestConfig:
         with pytest.raises(ManifestInvalid, match="grid"):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "doc", ["[" * 100_000, '{"k": ' + "[" * 100_000], ids=["document", "value"]
+    )
+    def test_deeply_nested_json_is_invalid(self, tmp_path, doc):
+        p = tmp_path / "c.json"
+        p.write_text(doc)
+        with pytest.raises(ManifestInvalid, match="c.json: bad JSON"):
+            load_config(p)
+
     def test_unknown_grid_key_is_named(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"grid": {"n_trees": [10], "min_leaf": [1], "mtry": [2]}}))
@@ -397,6 +412,33 @@ class TestExtract:
         assert len(caplog.records) == 10
         assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv"]
 
+    def test_nonconvergence_warnings_follow_manifest_order(
+        self, extracted, tmp_path, monkeypatch, caplog
+    ):
+        manifest, cfg, _ = extracted
+        monkeypatch.setattr(gmm, "em_fit", functools.partial(gmm.em_fit, max_iter=1))
+        monkeypatch.setattr(gmm, "em_fit_rows", functools.partial(gmm.em_fit_rows, max_iter=1))
+        monkeypatch.setenv("RADIOMICS_THREADS", "2")
+        # S00 starts only once S01 has finished, so the workers finish out of manifest order
+        s01_done = threading.Event()
+        real = pipeline.patient_features
+
+        def s01_first(record, *args):
+            if record.patient_id == "S00":
+                s01_done.wait(timeout=120)
+            try:
+                return real(record, *args)
+            finally:
+                if record.patient_id == "S01":
+                    s01_done.set()
+
+        monkeypatch.setattr(pipeline, "patient_features", s01_first)
+        with caplog.at_level(logging.WARNING, logger="deepradiomics"):
+            result = cmd_extract(load_manifest(manifest), manifest.parent / "weights.bin", cfg, tmp_path)
+        assert result.n_ok == 5 and s01_done.is_set()
+        logged = [rec.getMessage().split(":")[0] for rec in caplog.records]
+        assert logged == [f"S{i:02d} {col}" for i in range(5) for col in ("t1wi", "t1ce")]
+
 
 # --------------------------------------------------------------------------
 # classify
@@ -493,6 +535,27 @@ class TestClassify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(features) in err and "P02" in err and "f000_s2" in err
+
+    def test_scipy_stats_is_never_imported(self, tmp_path):
+        # scipy.stats costs about 44 MB of resident memory; nothing here needs it
+        features, _ = planted_cohort(tmp_path, n=8, seed=5)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid": {"n_trees": [5], "min_leaf": [1]}, "feature_sets": ["R"]}))
+        argv = ["classify", "--features", str(features), "--manifest", str(tmp_path / "manifest.csv"),
+                "--target", "m1", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        script = textwrap.dedent(f"""
+            import sys
+            import deepradiomics
+            assert "scipy.stats" not in sys.modules, "imported by deepradiomics"
+            from deepradiomics.cli import main
+            assert main({argv!r}) == 0
+            assert "scipy.stats" not in sys.modules, "imported by classify"
+        """)
+        src = str(Path(dr.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert (tmp_path / "out" / "report_m1_R.json").exists()
 
     def test_unknown_target(self, tmp_path):
         features, records = planted_cohort(tmp_path, n=6, seed=4)
@@ -722,10 +785,11 @@ class TestMain:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
-    def test_bad_sidecar_skips_patient(self, small_cohort, tmp_path, capsys):
+    @staticmethod
+    def assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, doc):
         cohort = tmp_path / "cohort"
         shutil.copytree(small_cohort.parent, cohort)
-        (cohort / "S00_a.vol.json").write_text("[1, 2, 3]")
+        (cohort / "S00_a.vol.json").write_text(doc)
         code = main(["extract", "--manifest", str(cohort / small_cohort.name),
                      "--weights", str(cohort / "weights.bin"), "--out", str(tmp_path / "out")])
         assert code == 2
@@ -735,6 +799,12 @@ class TestMain:
         assert "S00_a.vol.json" in captured.err and "Traceback" not in captured.err
         ids, _, _ = load_features_csv(tmp_path / "out" / "features.csv")
         assert "S00" not in ids
+
+    def test_bad_sidecar_skips_patient(self, small_cohort, tmp_path, capsys):
+        self.assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, "[1, 2, 3]")
+
+    def test_deeply_nested_sidecar_skips_patient(self, small_cohort, tmp_path, capsys):
+        self.assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, "[" * 100_000)
 
     def test_fatal_error_exit_code(self, tmp_path):
         code = main(["extract", "--manifest", str(tmp_path / "none.csv"),

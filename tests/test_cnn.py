@@ -236,6 +236,13 @@ class TestWeights:
         with pytest.raises(MalformedWeights, match=match):
             load_weights(tmp_path / "w.bin")
 
+    def test_deeply_nested_header_rejected(self, tmp_path):
+        save_weights(dr.generate_test_weights(1), tmp_path / "w.bin")
+        payload = (tmp_path / "w.bin").read_bytes().split(b"\n", 1)[1]
+        (tmp_path / "w.bin").write_bytes(b"[" * 100_000 + b"\n" + payload)
+        with pytest.raises(MalformedWeights, match="w.bin: bad header: maximum recursion depth"):
+            load_weights(tmp_path / "w.bin")
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(MalformedWeights):
             CnnWeights(

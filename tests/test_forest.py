@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from deepradiomics.errors import (
     DimMismatch,
     EmptyTraining,
+    NonFiniteData,
     SingleClass,
     SingleClassTraining,
     TooFewRows,
@@ -327,6 +329,20 @@ class TestRfPredict:
             rf_predict(model, [1.0, 2.0])
 
 
+@st.composite
+def auc_problems(draw):
+    """Rounded scores with heavy ties, sometimes infinite, and both classes present."""
+    n = draw(st.integers(2, 200))
+    levels = draw(st.integers(1, 12))
+    values = st.integers(0, levels).map(lambda v: v / levels)
+    if draw(st.booleans()):
+        values |= st.sampled_from([np.inf, -np.inf])
+    scores = draw(st.lists(values, min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[:2] = [0, 1]
+    return scores, labels
+
+
 class TestAuc:
     def test_perfect_ranking(self):
         assert compute_auc([0, 0, 1, 1], [0, 0, 1, 1]) == 1.0
@@ -350,6 +366,31 @@ class TestAuc:
     def test_single_class(self):
         with pytest.raises(SingleClass):
             compute_auc([0.1, 0.9], [1, 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(auc_problems())
+    def test_matches_rankdata_and_pair_count(self, problem):
+        scores, labels = problem
+        s, y = np.asarray(scores), np.asarray(labels)
+        n_pos, n_neg = int(y.sum()), int((1 - y).sum())
+        # reference: the rank-sum formula over scipy's average ranks
+        ranked = float((rankdata(s)[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+        pos, neg = s[y == 1], s[y == 0]
+        wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
+        auc = compute_auc(scores, labels)
+        assert auc == ranked
+        assert auc == float(wins / (n_pos * n_neg))
+
+    def test_nan_score_rejected(self):
+        for metric in (compute_auc, roc_points):
+            with pytest.raises(NonFiniteData, match="NaN"):
+                metric([np.nan, 0.5, 0.2, 0.7], [0, 1, 0, 1])
+
+    def test_infinite_scores_are_ordered(self):
+        assert compute_auc([-np.inf, 0.5, 0.2, np.inf], [0, 1, 0, 1]) == 1.0
+        # pairs: (inf, inf) ties, (inf, .2) and (.7, .2) win, (.7, inf) loses
+        assert compute_auc([np.inf, np.inf, 0.2, 0.7], [0, 1, 0, 1]) == 0.625
+        assert roc_points([-np.inf, np.inf], [0, 1]) == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 
 
 class TestConfusion:

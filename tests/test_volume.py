@@ -176,6 +176,13 @@ class TestVolumeIO:
         with pytest.raises(MalformedHeader, match="v.vol.json: header must be a JSON object"):
             dr.load_volume(tmp_path / "v.vol.json")
 
+    def test_deeply_nested_sidecar(self, tmp_path):
+        (tmp_path / "v.vol.json").write_text("[" * 100_000)
+        (tmp_path / "v.vol.raw").write_bytes(b"")
+        for load in (read_header, dr.load_volume, dr.load_mask):
+            with pytest.raises(MalformedHeader, match="v.vol.json: maximum recursion depth"):
+                load(tmp_path / "v.vol.json")
+
     def test_directory_sidecar(self, tmp_path):
         (tmp_path / "v.vol.json").mkdir()
         (tmp_path / "v.vol.raw").write_bytes(np.zeros(1, "<f4").tobytes())
