@@ -36,8 +36,8 @@ with tempfile.TemporaryDirectory(prefix="radiomics_demo_") as tmp:
 print(f"round-trip intact: {np.allclose(reloaded.data, vol.data.astype(np.float32))}\n")
 
 # -- resample both onto the isotropic 1 mm grid ------------------------------
-iso = dr.resample_isotropic(reloaded, 1.0)
-iso_mask = dr.resample_mask(reloaded_mask, spacing, 1.0)
+iso = dr.resample_isotropic(reloaded)
+iso_mask = dr.resample_mask(reloaded_mask, spacing)
 print(f"after resampling: dims {iso.dims}, ROI voxels {iso_mask.count}")
 
 # -- intensity standardisation ------------------------------------------------

@@ -73,9 +73,14 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "gen-weights":
+            save_weights(generate_test_weights(args.seed), args.out)
+            print(f"wrote weights (seed {args.seed}) -> {args.out}")
+            return 0
+
+        records = load_manifest(args.manifest, check_files=False)
+        config = load_config(args.config)
         if args.command == "extract":
-            records = load_manifest(args.manifest, check_files=False)
-            config = load_config(args.config)
             result = cmd_extract(records, args.weights, config, args.out)
             print(f"extracted {result.n_ok}/{len(records)} patients -> {result.features_path}")
             for pid, reason in result.failures:
@@ -83,45 +88,33 @@ def main(argv=None) -> int:
             return 2 if result.failures else 0
 
         if args.command == "classify":
-            records = load_manifest(args.manifest, check_files=False)
-            config = load_config(args.config)
             reports = cmd_classify(args.features, records, args.target, config, args.out)
             for fs, report in reports.items():
                 print(f"{args.target} [{fs}]: AUC={report.auc:.4f} accuracy={report.accuracy:.4f}")
             return 0
 
         if args.command == "survive":
-            records = load_manifest(args.manifest, check_files=False)
-            config = load_config(args.config)
             table = cmd_survive(args.features, records, config, args.out)
             for row in table:
                 p = "n/a" if row.p_value is None else f"{row.p_value:.3e}"
                 print(f"[{row.feature_set}] p={p} AUC={row.auc:.4f}")
             return 0
 
-        if args.command == "inspect":
-            records = load_manifest(args.manifest, check_files=False)
-            config = load_config(args.config)
-            svg, pgm = cmd_inspect(
-                records,
-                args.patient,
-                args.map_index,
-                args.weights,
-                config,
-                args.out,
-                modality=args.modality,
-            )
-            print(f"wrote {svg} and {pgm}")
-            return 0
-
-        if args.command == "gen-weights":
-            save_weights(generate_test_weights(args.seed), args.out)
-            print(f"wrote weights (seed {args.seed}) -> {args.out}")
-            return 0
+        # inspect, the one command left
+        svg, pgm = cmd_inspect(
+            records,
+            args.patient,
+            args.map_index,
+            args.weights,
+            config,
+            args.out,
+            modality=args.modality,
+        )
+        print(f"wrote {svg} and {pgm}")
+        return 0
     except RadiomicsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

@@ -24,9 +24,9 @@ import numpy as np
 from .errors import (
     IndivisibleDims,
     MalformedWeights,
-    MissingFile,
     NonFiniteWeights,
     ShapeMismatch,
+    WeightsMissing,
 )
 from .volume import CNN_INPUT_SIZE, RoiMask, Volume3D
 
@@ -89,13 +89,11 @@ class ActivationSet:
     mask32: RoiMask
     mask16: RoiMask
 
+    n_maps = N_MAPS  # a class constant, not a field
+
     def __post_init__(self):
         if len(self.layer1_maps) != N_FILTERS or len(self.layer2_maps) != N_FILTERS:
             raise ShapeMismatch("expected 10 maps per convolutional layer")
-
-    @property
-    def n_maps(self) -> int:
-        return 1 + len(self.layer1_maps) + len(self.layer2_maps)
 
     def maps_with_masks(self) -> list[tuple[Volume3D, RoiMask]]:
         """All 21 (map, matching-resolution mask) pairs in canonical order."""
@@ -154,7 +152,7 @@ def load_weights(path) -> CnnWeights:
     """Load and shape-validate a weights file."""
     p = Path(path)
     if not p.exists():
-        raise MissingFile(f"no weights file at {p}")
+        raise WeightsMissing(f"weights file not found: {p}")
     try:
         raw = p.read_bytes()
     except OSError as e:
@@ -306,10 +304,8 @@ def _block_max(a: np.ndarray) -> np.ndarray:
     return np.maximum(a[..., 0::2], a[..., 1::2])
 
 
-def maxpool3d(x: np.ndarray, window: int = 2, stride: int = 2) -> np.ndarray:
+def maxpool3d(x: np.ndarray) -> np.ndarray:
     """2x2x2 max pooling with stride 2; spatial dims must be even."""
-    if window != 2 or stride != 2:
-        raise ValueError("only window=2, stride=2 pooling is supported")
     x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeMismatch(f"expected (channels, X, Y, Z), got {x.shape}")

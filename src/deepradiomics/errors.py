@@ -37,6 +37,10 @@ class ShapeMismatch(RadiomicsError):
 
 # --- network weights -------------------------------------------------------
 
+class WeightsMissing(MissingFile):
+    pass
+
+
 class MalformedWeights(RadiomicsError):
     pass
 
@@ -94,10 +98,6 @@ class NoEvents(RadiomicsError):
 # --- orchestration -----------------------------------------------------------
 
 class ManifestInvalid(RadiomicsError):
-    pass
-
-
-class WeightsMissing(RadiomicsError):
     pass
 
 

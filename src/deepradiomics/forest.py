@@ -25,6 +25,8 @@ from .errors import (
 # a split must beat the parent impurity by more than float dust
 _MIN_IMPURITY_DECREASE = 1e-12
 
+DECISION_THRESHOLD = 0.5  # a score at or above it predicts class 1: high marker, long survival
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -87,8 +89,6 @@ class TreeNode:
 @dataclass(frozen=True)
 class RfModel:
     trees: tuple[TreeNode, ...]
-    params: RfParams
-    seed: int
     n_features: int
 
 
@@ -240,7 +240,7 @@ def rf_train(train: Dataset, params: RfParams, seed: int) -> RfModel:
     for start in range(0, params.n_trees, _BLOCK):
         seeds = range(seed + start, seed + min(start + _BLOCK, params.n_trees))
         trees += _grow_block(train.X, train.y, seeds, params.min_leaf, mtry)
-    return RfModel(trees=tuple(trees), params=params, seed=seed, n_features=train.d)
+    return RfModel(trees=tuple(trees), n_features=train.d)
 
 
 def tree_vote(node: TreeNode, row: np.ndarray) -> float:
@@ -273,6 +273,8 @@ def _scored_labels(scores, labels, what: str):
     y = np.asarray(labels, dtype=np.int64)
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
+    if n_pos + n_neg != y.size:
+        raise ValueError("labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise SingleClass(f"{what} needs both classes")
     if np.isnan(s).any():
@@ -292,11 +294,11 @@ def compute_auc(scores, labels) -> float:
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def confusion_matrix(scores, labels, threshold: float = 0.5) -> np.ndarray:
-    """2x2 counts [[tn, fp], [fn, tp]]; score >= threshold predicts positive."""
+def confusion_matrix(scores, labels) -> np.ndarray:
+    """2x2 counts [[tn, fp], [fn, tp]]; score >= DECISION_THRESHOLD predicts positive."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    pred = s >= threshold
+    pred = s >= DECISION_THRESHOLD
     tp = int((pred & (y == 1)).sum())
     tn = int((~pred & (y == 0)).sum())
     fp = int((pred & (y == 0)).sum())

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnn import ActivationSet
+from .cnn import N_MAPS, ActivationSet
 from .errors import EmptyMask, EmptySamples, InvalidK, LengthMismatch, ShapeMismatch
 from .volume import RoiMask, Volume3D
 
@@ -139,7 +139,7 @@ def _fit_result(mu, var, w, trace: list, iterations: int, converged: bool) -> Gm
     )
 
 
-def _em_rows(x, mu, var, w, floor, tol: float, max_iter: int) -> list[GmmFit]:
+def _em_rows(x, mu, var, w, floor, max_iter: int) -> list[GmmFit]:
     """EM on every row of x (B, n), each from its own start (B, k) parameters.
 
     The rows step in lockstep and a row leaves the batch at the iteration
@@ -169,7 +169,7 @@ def _em_rows(x, mu, var, w, floor, tol: float, max_iter: int) -> list[GmmFit]:
         resp, ll_new = _estep(powers, mu, var, w)
         for r, v in zip(live, ll_new.tolist()):
             traces[r].append(v)
-        done = ll_new - ll < tol
+        done = ll_new - ll < EM_TOL
         ll = ll_new
         if done.any():
             for j in np.flatnonzero(done):
@@ -186,7 +186,6 @@ def em_fit_rows(
     k: int,
     *,
     init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    tol: float = EM_TOL,
     max_iter: int = EM_MAX_ITER,
 ) -> list[GmmFit]:
     """Fit a k-component 1-D Gaussian mixture by EM to each row of (B, n) samples.
@@ -223,7 +222,7 @@ def em_fit_rows(
             var = np.maximum(np.asarray(init[1], dtype=np.float64), floor[idx, None])
             w = np.asarray(init[2], dtype=np.float64)
             w = np.tile(w / w.sum(), (len(idx), 1))
-        batch = _em_rows(sub, mu, var, w, floor[idx], tol, max_iter)
+        batch = _em_rows(sub, mu, var, w, floor[idx], max_iter)
         for i, fit in zip(idx, batch):
             fits[i] = fit if kk == k else _with_surplus(fit, k, float(X[i].max()), floor[i])
     return fits
@@ -250,12 +249,11 @@ def em_fit(
     k: int,
     *,
     init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    tol: float = EM_TOL,
     max_iter: int = EM_MAX_ITER,
 ) -> GmmFit:
     """Fit a k-component 1-D Gaussian mixture by EM: `em_fit_rows` on one row."""
     x = np.asarray(samples, dtype=np.float64).reshape(1, -1)
-    return em_fit_rows(x, k, init=init, tol=tol, max_iter=max_iter)[0]
+    return em_fit_rows(x, k, init=init, max_iter=max_iter)[0]
 
 
 # --------------------------------------------------------------------------
@@ -278,10 +276,10 @@ def build_feature_vector(acts: ActivationSet, k: int = 2) -> FeatureVector:
     )
 
 
-def feature_names(k: int = 2, n_maps: int = 21, prefix: str = "") -> list[str]:
+def feature_names(k: int = 2, prefix: str = "") -> list[str]:
     """CSV column names: f<map>_mu1, f<map>_s1, f<map>_w1, f<map>_mu2, ..."""
     names = []
-    for m in range(n_maps):
+    for m in range(N_MAPS):
         for j in range(1, k + 1):
             names += [f"{prefix}f{m:03d}_mu{j}", f"{prefix}f{m:03d}_s{j}", f"{prefix}f{m:03d}_w{j}"]
     return names

@@ -87,7 +87,7 @@ def load_manifest(path, check_files: bool = True) -> list[PatientRecord]:
     try:
         with open(p, newline="") as f:
             rows = list(csv.reader(f))
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, UnicodeDecodeError, csv.Error) as e:  # csv.Error: a field over csv's size limit
         raise ManifestInvalid(f"{p}: cannot read manifest: {e}") from e
     if not rows:
         raise ManifestInvalid(f"{p}: empty manifest")
@@ -101,7 +101,9 @@ def load_manifest(path, check_files: bool = True) -> list[PatientRecord]:
             continue
         row = dict(zip(MANIFEST_COLUMNS, (c.strip() for c in raw)))
         pid = row["patient_id"]
-        if not pid or "," in pid:
+        # features.csv is comma-separated and split into lines by str.splitlines,
+        # so an id must hold no comma and no line break of any kind (and be nonempty)
+        if "," in pid or pid.splitlines() != [pid]:
             problems.append(f"line {line_no}: bad patient_id {pid!r}")
             continue
         if pid in seen:

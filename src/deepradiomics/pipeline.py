@@ -27,9 +27,8 @@ from .errors import (
     RadiomicsError,
     ShapeMismatch,
     UnknownPatient,
-    WeightsMissing,
 )
-from .forest import Dataset, EvalReport, loocv, roc_points
+from .forest import DECISION_THRESHOLD, Dataset, EvalReport, loocv, roc_points
 from .manifest import MODALITY_COLUMNS, TARGETS, PatientRecord, RunConfig
 from .plots import histogram_svg, km_svg, write_pgm
 from .survival import impute_censored, km_estimate, logrank_test, median_split
@@ -67,8 +66,6 @@ def write_csv(path, header, rows) -> None:
 def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
-    if isinstance(value, (np.floating, np.integer)):
-        return _jsonable(value.item())
     return value
 
 
@@ -100,8 +97,8 @@ def volume_activations(vol_path, mask_path, weights: cnn.CnnWeights) -> cnn.Acti
         )
     mask = volume.load_mask(mask_path)
 
-    iso = volume.resample_isotropic(vol, 1.0)
-    iso_mask = volume.resample_mask(mask, vol.spacing, 1.0)
+    iso = volume.resample_isotropic(vol)
+    iso_mask = volume.resample_mask(mask, vol.spacing)
     std = volume.standardize_intensity(iso)
     input64, mask64 = volume.extract_cnn_input(std, iso_mask)
     return cnn.forward(input64, mask64, weights)
@@ -149,10 +146,7 @@ def cmd_extract(records, weights_path, config: RunConfig, out_dir) -> ExtractRes
     """Compute the feature matrix for a cohort and write features.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    wp = Path(weights_path)
-    if not wp.exists():
-        raise WeightsMissing(f"weights file not found: {wp}")
-    weights = cnn.load_weights(wp)
+    weights = cnn.load_weights(weights_path)
 
     def one(record):
         try:
@@ -194,8 +188,9 @@ def cmd_extract(records, weights_path, config: RunConfig, out_dir) -> ExtractRes
 def load_features_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """Returns (patient_ids, column_names, matrix) from a features.csv.
 
-    Every feature cell must be a finite number; anything else raises
-    ManifestInvalid naming the file, the patient and the column.
+    The file needs at least one patient row and unique patient ids, and
+    every feature cell must be a finite number; anything else raises
+    ManifestInvalid naming the file (and the patient and column).
     """
     p = Path(path)
     if not p.exists():
@@ -214,6 +209,8 @@ def load_features_csv(path) -> tuple[list[str], list[str], np.ndarray]:
         cells = ln.split(",")
         if len(cells) != len(names) + 1:
             raise ManifestInvalid(f"{p}: row for {cells[0]!r} has wrong column count")
+        if cells[0] in ids:
+            raise ManifestInvalid(f"{p}: duplicate patient_id {cells[0]!r}")
         ids.append(cells[0])
         row = []
         for name, cell in zip(names, cells[1:]):
@@ -227,8 +224,9 @@ def load_features_csv(path) -> tuple[list[str], list[str], np.ndarray]:
                 )
             row.append(value)
         rows.append(row)
-    matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
-    return ids, names, matrix
+    if not rows:
+        raise ManifestInvalid(f"{p}: no patient rows")
+    return ids, names, np.array(rows, dtype=np.float64)
 
 
 # --------------------------------------------------------------------------
@@ -344,8 +342,8 @@ def cmd_survive(features_path, records, config: RunConfig, out_dir) -> list[Surv
     """KM/log-rank analysis of RF-predicted survival groups per feature set.
 
     Runs the survival-target LOOCV (writing the same reports cmd_classify
-    would), splits patients into predicted short/long groups at score 0.5,
-    and compares the groups' observed survival.
+    would), splits patients into predicted short/long groups at
+    DECISION_THRESHOLD, and compares the groups' observed survival.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -358,7 +356,8 @@ def cmd_survive(features_path, records, config: RunConfig, out_dir) -> list[Surv
 
     table: list[SurvivalRow] = []
     for fs, report in reports.items():
-        predicted_long = np.array([s for _, s, _ in report.per_patient_scores]) >= 0.5
+        scores = np.array([s for _, s, _ in report.per_patient_scores])
+        predicted_long = scores >= DECISION_THRESHOLD
         if predicted_long.all() or (~predicted_long).all():
             log.warning("feature set %s: all patients predicted in one group", fs)
             chi2 = None
@@ -427,10 +426,7 @@ def cmd_inspect(
         raise BadMapIndex(f"map index must be in [0, {cnn.N_MAPS - 1}], got {map_index}")
     if modality not in MODALITY_COLUMNS:
         raise MissingColumn(f"modality must be one of {MODALITY_COLUMNS}, got {modality!r}")
-    wp = Path(weights_path)
-    if not wp.exists():
-        raise WeightsMissing(f"weights file not found: {wp}")
-    weights = cnn.load_weights(wp)
+    weights = cnn.load_weights(weights_path)
 
     acts = volume_activations(record.volumes[modality], record.mask, weights)
     vol, mask = acts.maps_with_masks()[map_index]

@@ -108,10 +108,8 @@ def km_estimate(times, events) -> KmCurve:
     return KmCurve(steps=tuple(steps), median_survival=median)
 
 
-def chi2_sf(x: float, df: int = 1) -> float:
+def chi2_sf(x: float) -> float:
     """Survival function of the chi-square(1) distribution."""
-    if df != 1:
-        raise ValueError("only df=1 is supported")
     if x < 0:
         raise ValueError(f"chi-square statistic must be >= 0, got {x}")
     return math.erfc(math.sqrt(x / 2.0))

@@ -30,6 +30,7 @@ from .errors import (
 
 MODALITIES = ("T1WI", "T1CE", "T2WI", "FLAIR", "DERIVED")
 
+ISO_MM = 1.0  # isotropic voxel size the network input is resampled to
 CNN_INPUT_SIZE = 64
 
 
@@ -213,13 +214,14 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _iso_dims(dims, spacing, target_mm: float) -> tuple[int, int, int]:
-    out = tuple(_round_half_up(n * s / target_mm) for n, s in zip(dims, spacing))
+def _iso_grid(dims, spacing) -> tuple[tuple[int, int, int], list[np.ndarray]]:
+    """Dims of the ISO_MM grid and, per axis, its voxel centres in source voxel units."""
+    out = tuple(_round_half_up(n * s / ISO_MM) for n, s in zip(dims, spacing))
     if any(d < 1 for d in out):
         raise DegenerateOutput(
-            f"resampling {dims} at spacing {spacing} to {target_mm} mm gives dims {out}"
+            f"resampling {dims} at spacing {spacing} to {ISO_MM} mm gives dims {out}"
         )
-    return out
+    return out, [np.arange(od, dtype=np.float64) * (ISO_MM / s) for od, s in zip(out, spacing)]
 
 
 def _trilinear_grid(data: np.ndarray, coords_1d: list[np.ndarray]) -> np.ndarray:
@@ -234,48 +236,36 @@ def _trilinear_grid(data: np.ndarray, coords_1d: list[np.ndarray]) -> np.ndarray
     )
 
 
-def resample_isotropic(vol: Volume3D, target_mm: float) -> Volume3D:
-    """Resample to an isotropic grid of `target_mm` millimetre voxels.
+def resample_isotropic(vol: Volume3D) -> Volume3D:
+    """Resample to an isotropic grid of ISO_MM millimetre voxels.
 
-    Output dims are round(n*s/target_mm) per axis; values come from
-    trilinear interpolation at the new voxel centres.  A volume already at
-    the target spacing is returned unchanged.
+    Output dims are round(n*s/ISO_MM) per axis; values come from trilinear
+    interpolation at the new voxel centres.  A volume already at ISO_MM
+    spacing is returned unchanged.
     """
-    if not (target_mm > 0 and math.isfinite(target_mm)):
-        raise ValueError(f"target_mm must be positive, got {target_mm}")
-    if all(s == target_mm for s in vol.spacing):
+    if all(s == ISO_MM for s in vol.spacing):
         return vol
-    out_dims = _iso_dims(vol.dims, vol.spacing, target_mm)
-    coords = [
-        np.arange(od, dtype=np.float64) * (target_mm / s)
-        for od, s in zip(out_dims, vol.spacing)
-    ]
+    _, coords = _iso_grid(vol.dims, vol.spacing)
     data = _trilinear_grid(vol.data, coords)
-    return Volume3D(data=data, spacing=(target_mm,) * 3, modality=vol.modality)
+    return Volume3D(data=data, spacing=(ISO_MM,) * 3, modality=vol.modality)
 
 
-def resample_mask(mask: RoiMask, spacing, target_mm: float) -> RoiMask:
+def resample_mask(mask: RoiMask, spacing) -> RoiMask:
     """Resample a binary mask onto the grid resample_isotropic would produce.
 
     The mask is interpolated as a float field and re-binarised at 0.5.  A
     nonempty input is guaranteed to stay nonempty: if thresholding empties
     it, the voxel nearest the ROI centroid is switched back on.
     """
-    if not (target_mm > 0 and math.isfinite(target_mm)):
-        raise ValueError(f"target_mm must be positive, got {target_mm}")
-    if all(s == target_mm for s in spacing):
+    if all(s == ISO_MM for s in spacing):
         return mask
-    out_dims = _iso_dims(mask.dims, spacing, target_mm)
-    coords = [
-        np.arange(od, dtype=np.float64) * (target_mm / s)
-        for od, s in zip(out_dims, spacing)
-    ]
+    out_dims, coords = _iso_grid(mask.dims, spacing)
     dense = _trilinear_grid(mask.voxels, coords)
     voxels = (dense > 0.5).astype(np.uint8)
     if mask.count > 0 and voxels.sum() == 0:
         centroid = [float(c.mean()) for c in np.nonzero(mask.voxels)]
         idx = tuple(
-            min(out_dims[a] - 1, max(0, _round_half_up(centroid[a] * spacing[a] / target_mm)))
+            min(out_dims[a] - 1, max(0, _round_half_up(centroid[a] * spacing[a] / ISO_MM)))
             for a in range(3)
         )
         voxels[idx] = 1
@@ -309,11 +299,11 @@ def _resize_align_corners(data: np.ndarray, out_dims) -> np.ndarray:
     return _trilinear_grid(data, coords)
 
 
-def extract_cnn_input(vol: Volume3D, mask: RoiMask, size: int = CNN_INPUT_SIZE) -> tuple[Volume3D, RoiMask]:
-    """Cut the ROI bounding box out of `vol` and fit it into a `size`^3 cube.
+def extract_cnn_input(vol: Volume3D, mask: RoiMask) -> tuple[Volume3D, RoiMask]:
+    """Cut the ROI bounding box out of `vol` and fit it into a CNN_INPUT_SIZE^3 cube.
 
     Out-of-mask voxels are zeroed first.  The box is scaled by a single
-    factor (largest axis -> `size`) so aspect ratio is preserved, then
+    factor (largest axis -> CNN_INPUT_SIZE) so aspect ratio is preserved, then
     zero-padded to centre it.  Returns the cube and a matching binary mask
     (threshold 0.5 after the same resize; never empty).
     """
@@ -330,6 +320,7 @@ def extract_cnn_input(vol: Volume3D, mask: RoiMask, size: int = CNN_INPUT_SIZE) 
     box = masked[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
     box_mask = inside[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]].astype(np.float64)
 
+    size = CNN_INPUT_SIZE
     scale = size / max(box.shape)
     target = tuple(min(size, max(1, _round_half_up(b * scale))) for b in box.shape)
     resized = _resize_align_corners(box, target)
@@ -347,5 +338,5 @@ def extract_cnn_input(vol: Volume3D, mask: RoiMask, size: int = CNN_INPUT_SIZE) 
         centre = tuple(o + (t - 1) // 2 for o, t in zip(off, target))
         cube_mask[centre] = 1
 
-    out = Volume3D(data=cube, spacing=(1.0, 1.0, 1.0), modality=vol.modality)
+    out = Volume3D(data=cube, spacing=(ISO_MM,) * 3, modality=vol.modality)
     return out, RoiMask(voxels=cube_mask)

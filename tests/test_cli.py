@@ -332,6 +332,48 @@ class TestUnreadableInputs:
             pass
 
 
+IDS = [f"P{i}" for i in range(6)]
+
+# case -> (command, manifest patient ids, features.csv patient ids, text of the error line)
+MALFORMED_INPUTS = {
+    "header-only features.csv, classify": ("classify", IDS, [], "features.csv: no patient rows"),
+    "header-only features.csv, survive": ("survive", IDS, [], "features.csv: no patient rows"),
+    "repeated id in features.csv": (
+        "survive", IDS, IDS + ["P0"], "features.csv: duplicate patient_id 'P0'"
+    ),
+    "quoted line break in a manifest id": (
+        "classify", ['"P000\nZ"'] + IDS, IDS, r"bad patient_id 'P000\nZ'"
+    ),
+    "NEL in a manifest id": ("classify", ["P000\x85Z"] + IDS, IDS, r"bad patient_id 'P000\x85Z'"),
+    "manifest field over csv's size limit": (
+        "classify", ["P" * 140_000] + IDS, IDS, "manifest.csv: cannot read manifest"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_one_clean_error_line(tmp_path, capsys, case):
+    command, manifest_ids, feature_ids, expected = MALFORMED_INPUTS[case]
+    rows = [
+        {"patient_id": pid, "os_months": 5.0 + i, "event": 1, "macrophage_m1": i / 10}
+        for i, pid in enumerate(manifest_ids)
+    ]
+    manifest = write_bare_manifest(tmp_path / "manifest.csv", rows)
+    matrix = np.random.default_rng(0).standard_normal((len(feature_ids), 126))
+    features = write_feature_csv(tmp_path / "features.csv", feature_ids, matrix)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": {"n_trees": [5], "min_leaf": [1]}, "feature_sets": ["R"]}))
+    argv = [command, "--manifest", str(manifest), "--features", str(features),
+            "--config", str(config), "--out", str(tmp_path / "out")]
+    if command == "classify":
+        argv += ["--target", "m1"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 1 and len(errors) == 1 and "Traceback" not in err
+    assert expected in errors[0]
+
+
 # --------------------------------------------------------------------------
 # extract
 # --------------------------------------------------------------------------

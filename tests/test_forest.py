@@ -305,14 +305,12 @@ class TestLockstepGrowth:
 class TestRfPredict:
     def test_pure_class_model_scores_one(self):
         leaf = TreeNode(proba=(0.0, 1.0))
-        model = RfModel(trees=(leaf, leaf, leaf), params=RfParams(n_trees=3), seed=0, n_features=2)
+        model = RfModel(trees=(leaf, leaf, leaf), n_features=2)
         assert rf_predict(model, [0.0, 0.0]) == 1.0
 
     def test_single_tree_vote_granularity(self):
         for proba, expected in [((1.0, 0.0), 0.0), ((0.5, 0.5), 0.5), ((0.2, 0.8), 1.0)]:
-            model = RfModel(
-                trees=(TreeNode(proba=proba),), params=RfParams(n_trees=1), seed=0, n_features=1
-            )
+            model = RfModel(trees=(TreeNode(proba=proba),), n_features=1)
             assert rf_predict(model, [0.0]) == expected
 
     def test_blob_centroids(self):
@@ -322,9 +320,7 @@ class TestRfPredict:
         assert rf_predict(model, [3.0, 3.0]) > 0.9
 
     def test_dim_mismatch(self):
-        model = RfModel(
-            trees=(TreeNode(proba=(1.0, 0.0)),), params=RfParams(n_trees=1), seed=0, n_features=3
-        )
+        model = RfModel(trees=(TreeNode(proba=(1.0, 0.0)),), n_features=3)
         with pytest.raises(DimMismatch):
             rf_predict(model, [1.0, 2.0])
 
@@ -385,6 +381,12 @@ class TestAuc:
         for metric in (compute_auc, roc_points):
             with pytest.raises(NonFiniteData, match="NaN"):
                 metric([np.nan, 0.5, 0.2, 0.7], [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [-1, 1, 0]])
+    def test_labels_outside_zero_one_rejected(self, labels):
+        for metric in (compute_auc, roc_points):
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                metric([0.2, 0.3, 0.1], labels)
 
     def test_infinite_scores_are_ordered(self):
         assert compute_auc([-np.inf, 0.5, 0.2, np.inf], [0, 1, 0, 1]) == 1.0
