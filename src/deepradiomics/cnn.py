@@ -26,6 +26,7 @@ from .errors import (
     MalformedWeights,
     NonFiniteWeights,
     ShapeMismatch,
+    UnwritableOutput,
     WeightsMissing,
 )
 from .volume import CNN_INPUT_SIZE, RoiMask, Volume3D
@@ -142,10 +143,13 @@ def save_weights(w: CnnWeights, path) -> None:
         "softmax_b": list(w.softmax[1].shape) if w.softmax else None,
     }
     blobs = [np.asarray(a, dtype="<f4").tobytes() for a in w._arrays()]
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for b in blobs:
-            f.write(b)
+    try:
+        with open(path, "wb") as f:
+            f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            for b in blobs:
+                f.write(b)
+    except OSError as e:  # a directory, say
+        raise UnwritableOutput(f"{path}: cannot write weights file: {e}") from e
 
 
 def load_weights(path) -> CnnWeights:

@@ -101,6 +101,10 @@ class ManifestInvalid(RadiomicsError):
     pass
 
 
+class UnwritableOutput(RadiomicsError):
+    """An output directory or file cannot be created or written."""
+
+
 class MissingColumn(RadiomicsError):
     pass
 

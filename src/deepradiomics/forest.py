@@ -164,20 +164,25 @@ def _best_split(X, y, rows, sizes, feats, min_leaf):
 _BLOCK = 64  # trees grown together; bounds the batched search's temporaries
 
 
-def _grow_block(X, y, seeds, min_leaf, mtry):
-    """One tree per seed, all grown together in depth-first steps.
-
-    Each tree keeps its own stack and walks its nodes in preorder, left
-    before right.  A step advances every unfinished tree to its next node
-    that needs a split search (pure and too-small nodes become leaves on
-    the way and draw nothing), draws that node's candidate features from
-    the tree's generator, and searches all those nodes in one _best_split
-    call.  A generator therefore sees the same draws in the same order as
-    when its tree is grown alone.
-    """
-    n, d = X.shape
+def _seed_trees(n, seeds):
+    """A generator per seed, and the n bootstrap rows each one draws first."""
     rngs = [np.random.default_rng(s) for s in seeds]
-    boot = np.array([rng.integers(0, n, size=n) for rng in rngs])
+    return rngs, np.array([rng.integers(0, n, size=n) for rng in rngs])
+
+
+def _grow_block(X, y, rngs, boot, min_leaf, mtry):
+    """One tree per generator, all grown together in depth-first steps.
+
+    Tree b grows on the bootstrap rows boot[b] from rngs[b], which has
+    drawn those rows and nothing since.  Each tree keeps its own stack and
+    walks its nodes in preorder, left before right.  A step advances every
+    unfinished tree to its next node that needs a split search (pure and
+    too-small nodes become leaves on the way and draw nothing), draws that
+    node's candidate features from the tree's generator, and searches all
+    those nodes in one _best_split call.  A generator therefore sees the
+    same draws in the same order as when its tree is grown alone.
+    """
+    d = X.shape[1]
     trees = [TreeNode() for _ in rngs]
     # a stack holds (node, rows, class-1 count) and pops the left child first
     stacks = [[entry] for entry in zip(trees, boot, y[boot].sum(axis=1).tolist())]
@@ -222,14 +227,18 @@ def _grow_block(X, y, seeds, min_leaf, mtry):
     return trees
 
 
-def rf_train(train: Dataset, params: RfParams, seed: int) -> RfModel:
+def rf_train(train: Dataset, params: RfParams, seed: int, *, _seeded=None) -> RfModel:
     """Grow a seeded forest on bootstrap resamples of `train`.
 
     Tree t draws its bootstrap rows and per-node feature subsets from a
     generator seeded with `seed + t` alone, so the first k trees of a
     forest are exactly the forest grown with `n_trees=k` and the same seed.
-    The trees grow in lockstep, in blocks of _BLOCK, with one batched split
-    search per depth-first step; each tree is exactly the tree grown alone.
+    Each tree is seeded and bootstrapped once, by _seed_trees, unless
+    `_seeded` hands over such generators and rows for at least n_trees
+    trees, each generator as it was right after its bootstrap draw; loocv
+    passes one set to every forest of a fold's grid search.  The trees
+    grow in lockstep, in blocks of _BLOCK, with one batched split search
+    per depth-first step; each tree is exactly the tree grown alone.
     """
     if train.n == 0:
         raise EmptyTraining("training set is empty")
@@ -238,8 +247,12 @@ def rf_train(train: Dataset, params: RfParams, seed: int) -> RfModel:
     mtry = params.resolve_mtry(train.d)
     trees = []
     for start in range(0, params.n_trees, _BLOCK):
-        seeds = range(seed + start, seed + min(start + _BLOCK, params.n_trees))
-        trees += _grow_block(train.X, train.y, seeds, params.min_leaf, mtry)
+        stop = min(start + _BLOCK, params.n_trees)
+        if _seeded is None:
+            rngs, boot = _seed_trees(train.n, range(seed + start, seed + stop))
+        else:
+            rngs, boot = _seeded[0][start:stop], _seeded[1][start:stop]
+        trees += _grow_block(train.X, train.y, rngs, boot, params.min_leaf, mtry)
     return RfModel(trees=tuple(trees), n_features=train.d)
 
 
@@ -267,18 +280,24 @@ def rf_predict(model: RfModel, row) -> float:
 # metrics
 # --------------------------------------------------------------------------
 
-def _scored_labels(scores, labels, what: str):
-    """(scores, labels, n_pos, n_neg) for a binary metric; NaN scores are rejected."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
-    if n_pos + n_neg != y.size:
+def _checked(scores, labels, what: str):
+    """Scores as float64 and labels as int64; labels must be exactly 0 or 1, scores not NaN."""
+    y = np.asarray(labels)
+    if ((y != 0) & (y != 1)).any():
         raise ValueError("labels must be 0 or 1")
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClass(f"{what} needs both classes")
+    s = np.asarray(scores, dtype=np.float64)
     if np.isnan(s).any():
         raise NonFiniteData(f"{what} scores contain NaN")
+    return s, y.astype(np.int64)
+
+
+def _scored_labels(scores, labels, what: str):
+    """(scores, labels, n_pos, n_neg) for a ranking metric, which needs both classes."""
+    s, y = _checked(scores, labels, what)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise SingleClass(f"{what} needs both classes")
     return s, y, n_pos, n_neg
 
 
@@ -296,8 +315,7 @@ def compute_auc(scores, labels) -> float:
 
 def confusion_matrix(scores, labels) -> np.ndarray:
     """2x2 counts [[tn, fp], [fn, tp]]; score >= DECISION_THRESHOLD predicts positive."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    s, y = _checked(scores, labels, "confusion matrix")
     pred = s >= DECISION_THRESHOLD
     tp = int((pred & (y == 1)).sum())
     tn = int((~pred & (y == 0)).sum())
@@ -370,12 +388,47 @@ def _prefix_groups(points) -> list[list[RfParams]]:
     return list(groups.values())
 
 
+def _grid_search(data: Dataset, train_idx, val_idx, points, fold_seed: int) -> RfParams:
+    """The grid point with the best validation AUC for one LOOCV fold.
+
+    Each grid tree is seeded and bootstrapped once, for the largest grid
+    point, and each generator's state is saved after that draw; every
+    prefix group's forest starts from those saved states, so each tree is
+    node for node the tree rf_train grows alone.
+    """
+    train_ds = data.subset(train_idx)
+    y_val = data.y[val_idx]
+    n_grid = max(p.n_trees for p in points)
+    rngs, boot = _seed_trees(train_ds.n, range(fold_seed, fold_seed + n_grid))
+    states = [rng.bit_generator.state for rng in rngs]
+    val_auc = {}
+    for k, group in enumerate(_prefix_groups(points)):
+        if k:  # rewind each generator to just after its bootstrap draw
+            for rng, state in zip(rngs, states):
+                rng.bit_generator.state = state
+        largest = max(group, key=lambda p: p.n_trees)
+        model = rf_train(train_ds, largest, fold_seed, _seeded=(rngs, boot))
+        # votes are 0, 0.5 or 1, so the sum of the first n_trees rows
+        # over n_trees is exactly rf_predict of the n_trees forest
+        votes = np.array([[tree_vote(t, data.X[v]) for v in val_idx] for t in model.trees])
+        for p in group:
+            if len(np.unique(y_val)) < 2:
+                val_auc[p] = 0.5
+            else:
+                val_auc[p] = compute_auc(votes[: p.n_trees].sum(axis=0) / p.n_trees, y_val)
+    # best AUC, then the smallest forest, then the largest leaves;
+    # remaining ties go to the first point in grid order
+    return min(points, key=lambda p: (-val_auc[p], p.n_trees, -p.min_leaf))
+
+
 def loocv(data: Dataset, grid, seed: int) -> EvalReport:
     """Leave-one-out evaluation with an inner 80/20 grid search per fold.
 
     The held-out row never touches tree growth or hyperparameter selection
     for its own fold; per-fold seeds are seed + fold*10007 so folds can be
-    computed in any order.
+    computed in any order.  Each fold's grid search (_grid_search) seeds
+    and bootstraps each grid tree once and restores the saved generator
+    states for every forest of the grid.
     """
     if data.n < 3:
         raise TooFewRows(f"LOOCV needs at least 3 rows, got {data.n}")
@@ -394,23 +447,7 @@ def loocv(data: Dataset, grid, seed: int) -> EvalReport:
         if len(points) == 1:
             chosen = points[0]
         else:
-            train_ds = data.subset(train_idx)
-            y_val = data.y[val_idx]
-            val_auc = {}
-            for group in _prefix_groups(points):
-                model = rf_train(train_ds, max(group, key=lambda p: p.n_trees), fold_seed)
-                # votes are 0, 0.5 or 1, so the sum of the first n_trees rows
-                # over n_trees is exactly rf_predict of the n_trees forest
-                votes = np.array([[tree_vote(t, data.X[v]) for v in val_idx] for t in model.trees])
-                for p in group:
-                    if len(np.unique(y_val)) < 2:
-                        val_auc[p] = 0.5
-                    else:
-                        val_auc[p] = compute_auc(votes[: p.n_trees].sum(axis=0) / p.n_trees, y_val)
-            # best AUC, then the smallest forest, then the largest leaves;
-            # remaining ties go to the first point in grid order
-            chosen = min(points, key=lambda p: (-val_auc[p], p.n_trees, -p.min_leaf))
-
+            chosen = _grid_search(data, train_idx, val_idx, points, fold_seed)
         final = rf_train(data.subset(rest), chosen, fold_seed)
         scores[i] = rf_predict(final, data.X[i])
         audits.append(

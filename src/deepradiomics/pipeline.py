@@ -27,6 +27,7 @@ from .errors import (
     RadiomicsError,
     ShapeMismatch,
     UnknownPatient,
+    UnwritableOutput,
 )
 from .forest import DECISION_THRESHOLD, Dataset, EvalReport, loocv, roc_points
 from .manifest import MODALITY_COLUMNS, TARGETS, PatientRecord, RunConfig
@@ -50,6 +51,16 @@ def thread_count() -> int:
 # --------------------------------------------------------------------------
 # canonical serialization
 # --------------------------------------------------------------------------
+
+def _output_dir(out_dir) -> Path:
+    """`out_dir`, created if missing."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file, say
+        raise UnwritableOutput(f"{out}: cannot create output directory: {e}") from e
+    return out
+
 
 def csv_cell(value) -> str:
     if isinstance(value, float):
@@ -144,8 +155,7 @@ class ExtractResult:
 
 def cmd_extract(records, weights_path, config: RunConfig, out_dir) -> ExtractResult:
     """Compute the feature matrix for a cohort and write features.csv."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     weights = cnn.load_weights(weights_path)
 
     def one(record):
@@ -307,8 +317,7 @@ def cmd_classify(
     features_path, records, target: str, config: RunConfig, out_dir
 ) -> dict[str, EvalReport]:
     """Write report_<target>_<set>.json and roc_<target>_<set>.csv per set."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     reports = classify_feature_sets(features_path, records, target, config)
     for fs, report in reports.items():
         write_json(out / f"report_{target}_{fs}.json", _report_json(report))
@@ -345,8 +354,7 @@ def cmd_survive(features_path, records, config: RunConfig, out_dir) -> list[Surv
     would), splits patients into predicted short/long groups at
     DECISION_THRESHOLD, and compares the groups' observed survival.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     reports = cmd_classify(features_path, records, "survival", config, out)
     # every report lists the patients in features.csv row order
     first = next(iter(reports.values()))
@@ -417,8 +425,7 @@ def cmd_inspect(
     modality: str = "t1ce",
 ) -> tuple[Path, Path]:
     """Histogram + fitted mixture (SVG) and central axial slice (PGM)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     record = next((r for r in records if r.patient_id == patient_id), None)
     if record is None:
         raise UnknownPatient(f"patient {patient_id!r} not in manifest")

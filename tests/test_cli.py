@@ -334,26 +334,37 @@ class TestUnreadableInputs:
 
 IDS = [f"P{i}" for i in range(6)]
 
-# case -> (command, manifest patient ids, features.csv patient ids, text of the error line)
+# case -> (command, manifest patient ids, features.csv patient ids, what --out already is,
+#          text of the error line)
 MALFORMED_INPUTS = {
-    "header-only features.csv, classify": ("classify", IDS, [], "features.csv: no patient rows"),
-    "header-only features.csv, survive": ("survive", IDS, [], "features.csv: no patient rows"),
+    "header-only features.csv, classify": (
+        "classify", IDS, [], None, "features.csv: no patient rows"
+    ),
+    "header-only features.csv, survive": (
+        "survive", IDS, [], None, "features.csv: no patient rows"
+    ),
     "repeated id in features.csv": (
-        "survive", IDS, IDS + ["P0"], "features.csv: duplicate patient_id 'P0'"
+        "survive", IDS, IDS + ["P0"], None, "features.csv: duplicate patient_id 'P0'"
     ),
     "quoted line break in a manifest id": (
-        "classify", ['"P000\nZ"'] + IDS, IDS, r"bad patient_id 'P000\nZ'"
+        "classify", ['"P000\nZ"'] + IDS, IDS, None, r"bad patient_id 'P000\nZ'"
     ),
-    "NEL in a manifest id": ("classify", ["P000\x85Z"] + IDS, IDS, r"bad patient_id 'P000\x85Z'"),
+    "NEL in a manifest id": (
+        "classify", ["P000\x85Z"] + IDS, IDS, None, r"bad patient_id 'P000\x85Z'"
+    ),
     "manifest field over csv's size limit": (
-        "classify", ["P" * 140_000] + IDS, IDS, "manifest.csv: cannot read manifest"
+        "classify", ["P" * 140_000] + IDS, IDS, None, "manifest.csv: cannot read manifest"
+    ),
+    "--out names a file": ("classify", IDS, IDS, "file", "out: cannot create output directory"),
+    "gen-weights --out names a directory": (
+        "gen-weights", IDS, IDS, "directory", "out: cannot write weights file"
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_is_one_clean_error_line(tmp_path, capsys, case):
-    command, manifest_ids, feature_ids, expected = MALFORMED_INPUTS[case]
+    command, manifest_ids, feature_ids, existing_out, expected = MALFORMED_INPUTS[case]
     rows = [
         {"patient_id": pid, "os_months": 5.0 + i, "event": 1, "macrophage_m1": i / 10}
         for i, pid in enumerate(manifest_ids)
@@ -363,10 +374,17 @@ def test_malformed_input_is_one_clean_error_line(tmp_path, capsys, case):
     features = write_feature_csv(tmp_path / "features.csv", feature_ids, matrix)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"grid": {"n_trees": [5], "min_leaf": [1]}, "feature_sets": ["R"]}))
+    out = tmp_path / "out"
+    if existing_out == "file":
+        out.write_text("")
+    elif existing_out == "directory":
+        out.mkdir()
     argv = [command, "--manifest", str(manifest), "--features", str(features),
-            "--config", str(config), "--out", str(tmp_path / "out")]
+            "--config", str(config), "--out", str(out)]
     if command == "classify":
         argv += ["--target", "m1"]
+    elif command == "gen-weights":
+        argv = [command, "--seed", "1", "--out", str(out)]
     code = main(argv)
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]

@@ -382,7 +382,7 @@ class TestAuc:
             with pytest.raises(NonFiniteData, match="NaN"):
                 metric([np.nan, 0.5, 0.2, 0.7], [0, 1, 0, 1])
 
-    @pytest.mark.parametrize("labels", [[0, 1, 2], [-1, 1, 0]])
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [-1, 1, 0], [1, 0, 0.5]])
     def test_labels_outside_zero_one_rejected(self, labels):
         for metric in (compute_auc, roc_points):
             with pytest.raises(ValueError, match="labels must be 0 or 1"):
@@ -410,6 +410,16 @@ class TestConfusion:
         # threshold 0.5, >= is positive: predictions 1,0,1,1,0,1
         m = confusion_matrix(scores, labels)
         assert m.tolist() == [[1, 2], [1, 2]]
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [1, 0, 0.5], [0, np.nan, 1]])
+    def test_labels_outside_zero_one_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            confusion_matrix([0.2, 0.3, 0.9], labels)
+
+    def test_nan_score_rejected_single_class_accepted(self):
+        with pytest.raises(NonFiniteData, match="NaN"):
+            confusion_matrix([np.nan, 0.5, 0.2], [1, 1, 1])
+        assert confusion_matrix([0.2, 0.7], [1, 1]).tolist() == [[0, 0], [1, 1]]
 
     def test_roc_endpoints(self):
         pts = roc_points([0.1, 0.9, 0.4, 0.7], [0, 1, 0, 1])
@@ -479,6 +489,13 @@ class TestLoocv:
                 for ml in (1, 2)
                 for m in (1, 3)
             ],
+            # prefix groups ending below, at and past the 64-tree block
+            [
+                RfParams(n_trees=40, min_leaf=1),
+                RfParams(n_trees=70, min_leaf=1),
+                RfParams(n_trees=130, min_leaf=2, mtry=2),
+                RfParams(n_trees=64, min_leaf=3),
+            ],
         ],
     )
     def test_matches_brute_force_grid_search(self, grid):
@@ -491,6 +508,26 @@ class TestLoocv:
         assert [a.chosen for a in report.folds] == chosen
         assert [s for _, s, _ in report.per_patient_scores] == scores
         assert len(set(chosen)) > 1
+
+    def test_each_tree_is_seeded_once_per_fold(self, monkeypatch):
+        ds = blob_dataset(n_per_class=6, seed=8)
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        report = loocv(ds, {"n_trees": [20, 70], "min_leaf": [1, 2, 3]}, seed=4)
+        monkeypatch.undo()
+        # per fold: the stratified split, each of the grid's 70 trees, then the refit's trees
+        expected = []
+        for i, audit in enumerate(report.folds):
+            fold_seed = 4 + i * 10007
+            expected += [fold_seed, *range(fold_seed, fold_seed + 70)]
+            expected += range(fold_seed, fold_seed + audit.chosen.n_trees)
+        assert seeds == expected
 
     def test_determinism(self):
         ds = blob_dataset(n_per_class=12, seed=6)
