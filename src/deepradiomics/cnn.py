@@ -9,7 +9,7 @@ metadata and never executed.
 
 Weights file: one binary file whose first line is a JSON header (layer
 shapes, provenance, format version) followed by a raw little-endian
-float32 payload in declared order.
+float32 payload in `_SEGMENTS` order.
 """
 
 from __future__ import annotations
@@ -39,6 +39,12 @@ CONV1_SHAPE = (N_FILTERS, KERNEL, KERNEL, KERNEL, 1)
 CONV2_SHAPE = (N_FILTERS, KERNEL, KERNEL, KERNEL, N_FILTERS)
 N_MAPS = 1 + 2 * N_FILTERS
 
+# Weights-file segments in payload order.  The first _N_REQUIRED are always
+# present; the fc and softmax (weight, bias) pairs after them are optional,
+# and the header declares an absent one as null.
+_SEGMENTS = ("conv1", "bias1", "conv2", "bias2", "fc_w", "fc_b", "softmax_w", "softmax_b")
+_N_REQUIRED = 4
+
 
 @dataclass(frozen=True)
 class CnnWeights:
@@ -63,16 +69,16 @@ class CnnWeights:
                 f"layer 2 must be {CONV2_SHAPE} + ({N_FILTERS},) bias, "
                 f"got {self.conv2.shape} + {self.bias2.shape}"
             )
-        for arr in self._arrays():
-            if not np.isfinite(arr).all():
+        for arr in self._segments().values():
+            if arr is not None and not np.isfinite(arr).all():
                 raise NonFiniteWeights("weights contain NaN or Inf")
 
-    def _arrays(self) -> list[np.ndarray]:
-        out = [self.conv1, self.bias1, self.conv2, self.bias2]
+    def _segments(self) -> dict[str, np.ndarray | None]:
+        """Each of _SEGMENTS mapped to its array, or to None for an absent pair."""
+        arrays = [getattr(self, name) for name in _SEGMENTS[:_N_REQUIRED]]
         for pair in (self.fc, self.softmax):
-            if pair is not None:
-                out.extend(pair)
-        return out
+            arrays += pair or (None, None)
+        return dict(zip(_SEGMENTS, arrays))
 
 
 @dataclass(frozen=True)
@@ -108,16 +114,12 @@ class ActivationSet:
 # weights I/O
 # --------------------------------------------------------------------------
 
-_REQUIRED_SEGMENTS = ("conv1", "bias1", "conv2", "bias2")
-_OPTIONAL_SEGMENTS = ("fc_w", "fc_b", "softmax_w", "softmax_b")
-
-
-def _segments(header: dict, p: Path) -> list[tuple[str, tuple[int, ...]]]:
+def _declared_segments(header: dict, p: Path) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of each declared payload segment, in payload order."""
     segs = []
-    for name in _REQUIRED_SEGMENTS + _OPTIONAL_SEGMENTS:
+    for i, name in enumerate(_SEGMENTS):
         shape = header.get(name)
-        if shape is None and name in _OPTIONAL_SEGMENTS:
+        if shape is None and i >= _N_REQUIRED:
             continue
         if not isinstance(shape, list) or not all(
             isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
@@ -130,19 +132,10 @@ def _segments(header: dict, p: Path) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def save_weights(w: CnnWeights, path) -> None:
-    header = {
-        "version": WEIGHTS_FORMAT_VERSION,
-        "provenance": w.provenance,
-        "conv1": list(w.conv1.shape),
-        "bias1": list(w.bias1.shape),
-        "conv2": list(w.conv2.shape),
-        "bias2": list(w.bias2.shape),
-        "fc_w": list(w.fc[0].shape) if w.fc else None,
-        "fc_b": list(w.fc[1].shape) if w.fc else None,
-        "softmax_w": list(w.softmax[0].shape) if w.softmax else None,
-        "softmax_b": list(w.softmax[1].shape) if w.softmax else None,
-    }
-    blobs = [np.asarray(a, dtype="<f4").tobytes() for a in w._arrays()]
+    segs = w._segments()
+    header = {"version": WEIGHTS_FORMAT_VERSION, "provenance": w.provenance}
+    header.update((name, None if a is None else list(a.shape)) for name, a in segs.items())
+    blobs = [np.asarray(a, dtype="<f4").tobytes() for a in segs.values() if a is not None]
     try:
         with open(path, "wb") as f:
             f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
@@ -173,7 +166,7 @@ def load_weights(path) -> CnnWeights:
     if header.get("version") != WEIGHTS_FORMAT_VERSION:
         raise MalformedWeights(f"{p}: unsupported format version {header.get('version')!r}")
 
-    segs = _segments(header, p)
+    segs = _declared_segments(header, p)
     payload = raw[nl + 1:]
     expected = sum(math.prod(shape) for _, shape in segs)
     if len(payload) != 4 * expected:
@@ -194,19 +187,13 @@ def load_weights(path) -> CnnWeights:
         if not np.isfinite(arr).all():
             raise NonFiniteWeights(f"{p}: weights contain NaN or Inf")
 
-    fc = (arrays["fc_w"], arrays["fc_b"]) if "fc_w" in arrays else None
-    softmax = (arrays["softmax_w"], arrays["softmax_b"]) if "softmax_w" in arrays else None
-    if ("fc_w" in arrays) != ("fc_b" in arrays) or ("softmax_w" in arrays) != (
-        "softmax_b" in arrays
-    ):
+    fc_w, fc_b, softmax_w, softmax_b = (arrays.get(name) for name in _SEGMENTS[_N_REQUIRED:])
+    if (fc_w is None) != (fc_b is None) or (softmax_w is None) != (softmax_b is None):
         raise MalformedWeights(f"{p}: fc/softmax weight and bias must be declared together")
     return CnnWeights(
-        conv1=arrays["conv1"],
-        bias1=arrays["bias1"],
-        conv2=arrays["conv2"],
-        bias2=arrays["bias2"],
-        fc=fc,
-        softmax=softmax,
+        **{name: arrays[name] for name in _SEGMENTS[:_N_REQUIRED]},
+        fc=None if fc_w is None else (fc_w, fc_b),
+        softmax=None if softmax_w is None else (softmax_w, softmax_b),
         provenance=str(header.get("provenance", "")),
     )
 

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DimMismatch,
     EmptyTraining,
+    LengthMismatch,
     NonFiniteData,
     SingleClass,
     SingleClassTraining,
@@ -281,11 +282,13 @@ def rf_predict(model: RfModel, row) -> float:
 # --------------------------------------------------------------------------
 
 def _checked(scores, labels, what: str):
-    """Scores as float64 and labels as int64; labels must be exactly 0 or 1, scores not NaN."""
+    """Scores as float64 and labels as int64, one per score: labels 0 or 1, scores not NaN."""
     y = np.asarray(labels)
+    s = np.asarray(scores, dtype=np.float64)
+    if s.shape != y.shape:
+        raise LengthMismatch(f"{what}: {s.size} scores but {y.size} labels")
     if ((y != 0) & (y != 1)).any():
         raise ValueError("labels must be 0 or 1")
-    s = np.asarray(scores, dtype=np.float64)
     if np.isnan(s).any():
         raise NonFiniteData(f"{what} scores contain NaN")
     return s, y.astype(np.int64)

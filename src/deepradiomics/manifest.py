@@ -36,7 +36,11 @@ MODALITY_COLUMNS = ("t1wi", "t1ce", "t2wi", "flair")
 
 FEATURE_SETS = ("R", "C", "I", "I+C", "R+C", "R+I", "R+C+I")
 
-TARGETS = ("m1", "neutrophils", "tfh", "survival")
+# target -> the manifest column (and PatientRecord field) its values come from
+_TARGET_COLUMNS = {
+    "m1": "macrophage_m1", "neutrophils": "neutrophils", "tfh": "tfh", "survival": "os_months"
+}
+TARGETS = tuple(_TARGET_COLUMNS)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .errors import (
     UnwritableOutput,
 )
 from .forest import DECISION_THRESHOLD, Dataset, EvalReport, loocv, roc_points
-from .manifest import MODALITY_COLUMNS, TARGETS, PatientRecord, RunConfig
+from .manifest import _TARGET_COLUMNS, MODALITY_COLUMNS, TARGETS, PatientRecord, RunConfig
 from .plots import histogram_svg, km_svg, write_pgm
 from .survival import impute_censored, km_estimate, logrank_test, median_split
 
@@ -198,9 +198,10 @@ def cmd_extract(records, weights_path, config: RunConfig, out_dir) -> ExtractRes
 def load_features_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """Returns (patient_ids, column_names, matrix) from a features.csv.
 
-    The file needs at least one patient row and unique patient ids, and
-    every feature cell must be a finite number; anything else raises
-    ManifestInvalid naming the file (and the patient and column).
+    The file needs at least one feature column, at least one patient row
+    and unique patient ids, and every feature cell must be a finite number;
+    anything else raises ManifestInvalid naming the file (and the patient
+    and column).
     """
     p = Path(path)
     if not p.exists():
@@ -212,6 +213,8 @@ def load_features_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     if not lines or not lines[0].startswith("patient_id"):
         raise ManifestInvalid(f"{p}: not a feature matrix (missing header)")
     names = lines[0].split(",")[1:]
+    if not names:
+        raise ManifestInvalid(f"{p}: no feature columns")
     ids, rows = [], []
     for ln in lines[1:]:
         if not ln.strip():
@@ -244,17 +247,10 @@ def load_features_csv(path) -> tuple[list[str], list[str], np.ndarray]:
 # --------------------------------------------------------------------------
 
 def _target_values(records: list[PatientRecord], target: str) -> np.ndarray:
-    if target == "m1":
-        return np.array([r.macrophage_m1 for r in records])
-    if target == "neutrophils":
-        return np.array([r.neutrophils for r in records])
-    if target == "tfh":
-        return np.array([r.tfh for r in records])
+    values = np.array([getattr(r, _TARGET_COLUMNS[target]) for r in records])
     if target == "survival":
-        times = np.array([r.os_months for r in records])
-        events = np.array([r.event for r in records])
-        return impute_censored(times, events)
-    raise MissingColumn(f"unknown target {target!r}; valid: {', '.join(TARGETS)}")
+        return impute_censored(values, np.array([r.event for r in records]))
+    return values
 
 
 def _design_matrix(

@@ -106,6 +106,10 @@ def volume_exists(path) -> bool:
     return side.exists() and raw.exists()
 
 
+# sidecar dtype name -> payload dtype
+_DTYPES = {"f32le": np.dtype("<f4"), "u8": np.dtype(np.uint8)}
+
+
 def _is_count(d) -> bool:
     return isinstance(d, int) and not isinstance(d, bool) and d > 0
 
@@ -135,75 +139,64 @@ def read_header(path) -> dict:
         raise MalformedHeader(f"{side}: bad dims {dims!r}")
     if not isinstance(spacing, list) or len(spacing) != 3 or not all(map(_is_spacing, spacing)):
         raise MalformedHeader(f"{side}: bad spacing_mm {spacing!r}")
-    if dtype not in ("f32le", "u8"):
+    if dtype not in _DTYPES:
         raise MalformedHeader(f"{side}: bad dtype {dtype!r}")
     return hdr
 
 
-def _read_payload(raw: Path, nbytes: int) -> bytes:
+def _load_pair(path, dtype: str) -> tuple[dict, np.ndarray]:
+    """Header and payload array of a sidecar pair whose dtype must be `dtype`."""
+    side, raw = _sidecar_paths(path)
+    hdr = read_header(path)
+    if hdr["dtype"] != dtype:
+        raise MalformedHeader(f"{side}: expected dtype {dtype}, got {hdr['dtype']!r}")
     try:
         payload = raw.read_bytes()
     except OSError as e:  # a directory, say
         raise MalformedHeader(f"{raw}: cannot read payload: {e}") from e
+    nbytes = _DTYPES[dtype].itemsize * math.prod(hdr["dims"])
     if len(payload) != nbytes:
         raise MalformedHeader(f"{raw}: payload has {len(payload)} bytes, header declares {nbytes}")
-    return payload
+    data = np.frombuffer(payload, dtype=_DTYPES[dtype]).reshape(hdr["dims"], order="F")
+    return hdr, data.copy()
+
+
+def _save_pair(path, data: np.ndarray, spacing, dtype: str, modality: str) -> None:
+    side, raw = _sidecar_paths(path)
+    hdr = {
+        "dims": [int(d) for d in data.shape],
+        "spacing_mm": [float(s) for s in spacing],
+        "dtype": dtype,
+        "modality": modality,
+    }
+    side.write_text(json.dumps(hdr, sort_keys=True) + "\n")
+    raw.write_bytes(np.asarray(data, dtype=_DTYPES[dtype]).tobytes(order="F"))
 
 
 def load_volume(path) -> Volume3D:
     """Load a float32 volume from its `.vol.json` / `.vol.raw` pair."""
+    hdr, data = _load_pair(path, "f32le")
     side, raw = _sidecar_paths(path)
-    hdr = read_header(path)
-    if hdr["dtype"] != "f32le":
-        raise MalformedHeader(f"{side}: expected dtype f32le, got {hdr['dtype']!r}")
     modality = hdr.get("modality", "DERIVED")
     if modality not in MODALITIES:
         raise MalformedHeader(f"{side}: unknown modality {modality!r}")
-    nx, ny, nz = hdr["dims"]
-    payload = _read_payload(raw, 4 * nx * ny * nz)
-    data = np.frombuffer(payload, dtype="<f4").reshape((nx, ny, nz), order="F")
     if not np.isfinite(data).all():
         raise NonFiniteData(f"{raw}: payload contains NaN or Inf")
-    return Volume3D(
-        data=data.copy(), spacing=tuple(float(s) for s in hdr["spacing_mm"]), modality=modality
-    )
+    return Volume3D(data=data, spacing=tuple(map(float, hdr["spacing_mm"])), modality=modality)
 
 
 def save_volume(vol: Volume3D, path) -> None:
     """Write a volume as a `.vol.json` / `.vol.raw` pair (float32 payload)."""
-    side, raw = _sidecar_paths(path)
-    hdr = {
-        "dims": [int(d) for d in vol.dims],
-        "spacing_mm": [float(s) for s in vol.spacing],
-        "dtype": "f32le",
-        "modality": vol.modality,
-    }
-    side.write_text(json.dumps(hdr, sort_keys=True) + "\n")
-    raw.write_bytes(np.asarray(vol.data, dtype="<f4").tobytes(order="F"))
+    _save_pair(path, vol.data, vol.spacing, "f32le", vol.modality)
 
 
 def load_mask(path) -> RoiMask:
     """Load a binary mask from its sidecar pair (dtype u8)."""
-    side, raw = _sidecar_paths(path)
-    hdr = read_header(path)
-    if hdr["dtype"] != "u8":
-        raise MalformedHeader(f"{side}: expected dtype u8, got {hdr['dtype']!r}")
-    nx, ny, nz = hdr["dims"]
-    payload = _read_payload(raw, nx * ny * nz)
-    voxels = np.frombuffer(payload, dtype=np.uint8).reshape((nx, ny, nz), order="F")
-    return RoiMask(voxels=voxels.copy())
+    return RoiMask(voxels=_load_pair(path, "u8")[1])
 
 
 def save_mask(mask: RoiMask, path, spacing=(1.0, 1.0, 1.0)) -> None:
-    side, raw = _sidecar_paths(path)
-    hdr = {
-        "dims": [int(d) for d in mask.dims],
-        "spacing_mm": [float(s) for s in spacing],
-        "dtype": "u8",
-        "modality": "DERIVED",
-    }
-    side.write_text(json.dumps(hdr, sort_keys=True) + "\n")
-    raw.write_bytes(np.asarray(mask.voxels, dtype=np.uint8).tobytes(order="F"))
+    _save_pair(path, mask.voxels, spacing, "u8", "DERIVED")
 
 
 # --------------------------------------------------------------------------

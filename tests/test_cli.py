@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import json
 import logging
 import math
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import write_bare_manifest, write_feature_csv
+from conftest import build_texture_cohort, write_bare_manifest, write_feature_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -334,44 +335,51 @@ class TestUnreadableInputs:
 
 IDS = [f"P{i}" for i in range(6)]
 
-# case -> (command, manifest patient ids, features.csv patient ids, what --out already is,
+# case -> (command, manifest patient ids, features.csv patient ids, mixture components k
+#          of features.csv (0 writes no feature columns), what --out already is,
 #          text of the error line)
 MALFORMED_INPUTS = {
     "header-only features.csv, classify": (
-        "classify", IDS, [], None, "features.csv: no patient rows"
+        "classify", IDS, [], 2, None, "features.csv: no patient rows"
     ),
     "header-only features.csv, survive": (
-        "survive", IDS, [], None, "features.csv: no patient rows"
+        "survive", IDS, [], 2, None, "features.csv: no patient rows"
+    ),
+    "features.csv without feature columns, classify": (
+        "classify", IDS, IDS, 0, None, "features.csv: no feature columns"
+    ),
+    "features.csv without feature columns, survive": (
+        "survive", IDS, IDS, 0, None, "features.csv: no feature columns"
     ),
     "repeated id in features.csv": (
-        "survive", IDS, IDS + ["P0"], None, "features.csv: duplicate patient_id 'P0'"
+        "survive", IDS, IDS + ["P0"], 2, None, "features.csv: duplicate patient_id 'P0'"
     ),
     "quoted line break in a manifest id": (
-        "classify", ['"P000\nZ"'] + IDS, IDS, None, r"bad patient_id 'P000\nZ'"
+        "classify", ['"P000\nZ"'] + IDS, IDS, 2, None, r"bad patient_id 'P000\nZ'"
     ),
     "NEL in a manifest id": (
-        "classify", ["P000\x85Z"] + IDS, IDS, None, r"bad patient_id 'P000\x85Z'"
+        "classify", ["P000\x85Z"] + IDS, IDS, 2, None, r"bad patient_id 'P000\x85Z'"
     ),
     "manifest field over csv's size limit": (
-        "classify", ["P" * 140_000] + IDS, IDS, None, "manifest.csv: cannot read manifest"
+        "classify", ["P" * 140_000] + IDS, IDS, 2, None, "manifest.csv: cannot read manifest"
     ),
-    "--out names a file": ("classify", IDS, IDS, "file", "out: cannot create output directory"),
+    "--out names a file": ("classify", IDS, IDS, 2, "file", "out: cannot create output directory"),
     "gen-weights --out names a directory": (
-        "gen-weights", IDS, IDS, "directory", "out: cannot write weights file"
+        "gen-weights", IDS, IDS, 2, "directory", "out: cannot write weights file"
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_is_one_clean_error_line(tmp_path, capsys, case):
-    command, manifest_ids, feature_ids, existing_out, expected = MALFORMED_INPUTS[case]
+    command, manifest_ids, feature_ids, k, existing_out, expected = MALFORMED_INPUTS[case]
     rows = [
         {"patient_id": pid, "os_months": 5.0 + i, "event": 1, "macrophage_m1": i / 10}
         for i, pid in enumerate(manifest_ids)
     ]
     manifest = write_bare_manifest(tmp_path / "manifest.csv", rows)
-    matrix = np.random.default_rng(0).standard_normal((len(feature_ids), 126))
-    features = write_feature_csv(tmp_path / "features.csv", feature_ids, matrix)
+    matrix = np.random.default_rng(0).standard_normal((len(feature_ids), 63 * k))
+    features = write_feature_csv(tmp_path / "features.csv", feature_ids, matrix, k=k)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"grid": {"n_trees": [5], "min_leaf": [1]}, "feature_sets": ["R"]}))
     out = tmp_path / "out"
@@ -498,6 +506,31 @@ class TestExtract:
         assert result.n_ok == 5 and s01_done.is_set()
         logged = [rec.getMessage().split(":")[0] for rec in caplog.records]
         assert logged == [f"S{i:02d} {col}" for i in range(5) for col in ("t1wi", "t1ce")]
+
+    def test_concat_reduction_end_to_end(self, tmp_path):
+        manifest = build_texture_cohort(
+            tmp_path / "cohort", n=6, seed=29, dims=(24, 26, 20), distinct_modalities=True
+        )
+        records = load_manifest(manifest)
+        mean_cfg = RunConfig(seed=3, grid={"n_trees": [25], "min_leaf": [1]}, feature_sets=("R",))
+        concat_cfg = dataclasses.replace(mean_cfg, modality_reduction="concat")
+        weights = manifest.parent / "weights.bin"
+        mean = cmd_extract(records, weights, mean_cfg, tmp_path / "mean")
+        concat = cmd_extract(records, weights, concat_cfg, tmp_path / "concat")
+        assert mean.n_ok == concat.n_ok == 6
+
+        ids, names, matrix = load_features_csv(concat.features_path)
+        mean_ids, mean_names, mean_matrix = load_features_csv(mean.features_path)
+        assert ids == mean_ids
+        assert len(names) == 4 * 126 == 4 * len(mean_names)
+        assert (names[0], names[126], names[-1]) == ("t1wi_f000_mu1", "t1ce_f000_mu1", "flair_f020_w2")
+        # the mean of a row's four modality blocks, reduced as extract reduces it, is the
+        # mean run's row bit for bit
+        blocks = matrix.reshape(6, 4, 126)
+        np.testing.assert_array_equal([np.mean(b, axis=0) for b in blocks], mean_matrix)
+
+        reports = cmd_classify(concat.features_path, records, "m1", concat_cfg, tmp_path / "concat")
+        assert [pid for pid, _, _ in reports["R"].per_patient_scores] == ids
 
 
 # --------------------------------------------------------------------------
@@ -829,6 +862,16 @@ class TestMain:
     def test_gen_weights_roundtrip(self, tmp_path):
         target = tmp_path / "w.bin"
         assert main(["gen-weights", "--seed", "42", "--out", str(target)]) == 0
+        # the header and payload order fix the file layout; changing either breaks
+        # every weights file already written
+        assert target.read_bytes().split(b"\n", 1)[0] == (
+            b'{"bias1": [10], "bias2": [10], "conv1": [10, 2, 2, 2, 1], "conv2": [10, 2, 2, 2, 10], '
+            b'"fc_b": null, "fc_w": null, "provenance": "seed:42", "softmax_b": null, '
+            b'"softmax_w": null, "version": 1}'
+        )
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "b3e5794b3ea8d287629060305b489be13e433a091cf4ee2b80fc51cf0bcbc4ea"
+        )
         loaded = dr.load_weights(target)
         expected = dr.generate_test_weights(42)
         np.testing.assert_array_equal(loaded.conv1, expected.conv1.astype(np.float32))

@@ -252,23 +252,33 @@ class TestWeights:
                 bias2=np.zeros(10),
             )
 
-    def test_fc_segments_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize(
+        "fc,softmax",
+        [(False, False), (True, False), (False, True), (True, True)],
+        ids=["none", "fc", "softmax", "fc+softmax"],
+    )
+    def test_fc_segments_roundtrip(self, tmp_path, fc, softmax):
         w = dr.generate_test_weights(3)
         rng = np.random.default_rng(0)
-        full = CnnWeights(
+        saved = CnnWeights(
             conv1=w.conv1,
             bias1=w.bias1,
             conv2=w.conv2,
             bias2=w.bias2,
-            fc=(rng.random((8, 16)), rng.random(8)),
-            softmax=(rng.random((2, 8)), rng.random(2)),
+            fc=(rng.random((8, 16)), rng.random(8)) if fc else None,
+            softmax=(rng.random((2, 8)), rng.random(2)) if softmax else None,
             provenance="seed:3+fc",
         )
-        save_weights(full, tmp_path / "w.bin")
+        save_weights(saved, tmp_path / "w.bin")
         loaded = load_weights(tmp_path / "w.bin")
-        assert loaded.fc is not None and loaded.softmax is not None
-        assert loaded.fc[0].shape == (8, 16)
         assert loaded.provenance == "seed:3+fc"
+        for name in ("conv1", "bias1", "conv2", "bias2"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(saved, name).astype(np.float32))
+        for name in ("fc", "softmax"):
+            pair, expected = getattr(loaded, name), getattr(saved, name)
+            assert (pair is None) == (expected is None)
+            for got, want in zip(pair or (), expected or ()):
+                np.testing.assert_array_equal(got, want.astype(np.float32))
 
 
 # --------------------------------------------------------------------------

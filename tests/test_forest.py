@@ -9,6 +9,7 @@ from scipy.stats import rankdata
 from deepradiomics.errors import (
     DimMismatch,
     EmptyTraining,
+    LengthMismatch,
     NonFiniteData,
     SingleClass,
     SingleClassTraining,
@@ -420,6 +421,11 @@ class TestConfusion:
         with pytest.raises(NonFiniteData, match="NaN"):
             confusion_matrix([np.nan, 0.5, 0.2], [1, 1, 1])
         assert confusion_matrix([0.2, 0.7], [1, 1]).tolist() == [[0, 0], [1, 1]]
+
+    @pytest.mark.parametrize("metric", [compute_auc, roc_points, confusion_matrix])
+    def test_score_label_length_mismatch_rejected(self, metric):
+        with pytest.raises(LengthMismatch, match="3 scores but 2 labels"):
+            metric([0.1, 0.2, 0.3], [0, 1])
 
     def test_roc_endpoints(self):
         pts = roc_points([0.1, 0.9, 0.4, 0.7], [0, 1, 0, 1])
