@@ -24,10 +24,14 @@ import numpy as np
 from .errors import (
     IndivisibleDims,
     MalformedWeights,
+    ManifestInvalid,
     NonFiniteWeights,
     ShapeMismatch,
-    UnwritableOutput,
     WeightsMissing,
+    is_int_at_least,
+    json_object,
+    read_input,
+    write_output,
 )
 from .volume import CNN_INPUT_SIZE, RoiMask, Volume3D
 
@@ -121,9 +125,7 @@ def _declared_segments(header: dict, p: Path) -> list[tuple[str, tuple[int, ...]
         shape = header.get(name)
         if shape is None and i >= _N_REQUIRED:
             continue
-        if not isinstance(shape, list) or not all(
-            isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
-        ):
+        if not isinstance(shape, list) or not all(is_int_at_least(d, 0) for d in shape):
             raise MalformedWeights(
                 f"{p}: shape of {name} must be a list of non-negative integers, got {shape!r}"
             )
@@ -136,33 +138,18 @@ def save_weights(w: CnnWeights, path) -> None:
     header = {"version": WEIGHTS_FORMAT_VERSION, "provenance": w.provenance}
     header.update((name, None if a is None else list(a.shape)) for name, a in segs.items())
     blobs = [np.asarray(a, dtype="<f4").tobytes() for a in segs.values() if a is not None]
-    try:
-        with open(path, "wb") as f:
-            f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            for b in blobs:
-                f.write(b)
-    except OSError as e:  # a directory, say
-        raise UnwritableOutput(f"{path}: cannot write weights file: {e}") from e
+    head = json.dumps(header, sort_keys=True).encode() + b"\n"
+    write_output(path, head + b"".join(blobs), "weights file")
 
 
 def load_weights(path) -> CnnWeights:
     """Load and shape-validate a weights file."""
     p = Path(path)
-    if not p.exists():
-        raise WeightsMissing(f"weights file not found: {p}")
-    try:
-        raw = p.read_bytes()
-    except OSError as e:
-        raise MalformedWeights(f"{p}: cannot read weights file: {e}") from e
+    raw = read_input(p, "weights file", MalformedWeights, WeightsMissing, binary=True)
     nl = raw.find(b"\n")
     if nl < 0:
         raise MalformedWeights(f"{p}: missing header line")
-    try:
-        header = json.loads(raw[:nl].decode())
-    except (ValueError, RecursionError) as e:  # bad UTF-8; bad or deep JSON
-        raise MalformedWeights(f"{p}: bad header: {e}") from e
-    if not isinstance(header, dict):
-        raise MalformedWeights(f"{p}: header must be a JSON object")
+    header = json_object(raw[:nl], p, MalformedWeights)
     if header.get("version") != WEIGHTS_FORMAT_VERSION:
         raise MalformedWeights(f"{p}: unsupported format version {header.get('version')!r}")
 
@@ -204,6 +191,8 @@ def generate_test_weights(seed: int) -> CnnWeights:
     Draw order is fixed (conv1, bias1, conv2, bias2 from one PCG64 stream)
     so a given seed always yields bit-identical weights.
     """
+    if seed < 0:  # numpy would raise a bare ValueError
+        raise ManifestInvalid(f"weights seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     return CnnWeights(
         conv1=rng.uniform(-0.5, 0.5, CONV1_SHAPE),

@@ -8,12 +8,12 @@ resolved relative to the manifest file.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ManifestInvalid
+from .errors import ManifestInvalid, is_int_at_least, json_object, read_input
 from .volume import volume_exists
 
 MANIFEST_COLUMNS = (
@@ -81,17 +81,15 @@ def _parse_float(row, col, problems, lo=None, hi=None):
 def load_manifest(path, check_files: bool = True) -> list[PatientRecord]:
     """Parse and validate a cohort manifest CSV."""
     p = Path(path)
-    if not p.exists():
-        raise ManifestInvalid(f"manifest not found: {p}")
     base = p.parent
     problems: list[str] = []
     records: list[PatientRecord] = []
     seen: set[str] = set()
 
+    text = read_input(p, "manifest", ManifestInvalid, newline="")
     try:
-        with open(p, newline="") as f:
-            rows = list(csv.reader(f))
-    except (OSError, UnicodeDecodeError, csv.Error) as e:  # csv.Error: a field over csv's size limit
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as e:  # a field over csv's size limit
         raise ManifestInvalid(f"{p}: cannot read manifest: {e}") from e
     if not rows:
         raise ManifestInvalid(f"{p}: empty manifest")
@@ -158,11 +156,6 @@ def load_manifest(path, check_files: bool = True) -> list[PatientRecord]:
     return records
 
 
-def _is_int_at_least(value, low: int) -> bool:
-    """True for a JSON integer >= low; booleans are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
-
 @dataclass
 class RunConfig:
     """Pipeline configuration with the defaults used throughout."""
@@ -176,9 +169,9 @@ class RunConfig:
     feature_sets: tuple[str, ...] = FEATURE_SETS
 
     def __post_init__(self):
-        if not _is_int_at_least(self.k, 1):
+        if not is_int_at_least(self.k, 1):
             raise ManifestInvalid(f"config: k must be an integer >= 1, got {self.k!r}")
-        if not _is_int_at_least(self.seed, 0):
+        if not is_int_at_least(self.seed, 0):
             raise ManifestInvalid(f"config: seed must be an integer >= 0, got {self.seed!r}")
         if self.modality_reduction not in ("mean", "concat"):
             raise ManifestInvalid(
@@ -200,7 +193,7 @@ class RunConfig:
             if not isinstance(self.grid.get(key), (list, tuple)) or not self.grid[key]:
                 raise ManifestInvalid("config: grid needs nonempty n_trees and min_leaf lists")
             for v in self.grid[key]:
-                if not _is_int_at_least(v, 1):
+                if not is_int_at_least(v, 1):
                     raise ManifestInvalid(
                         f"config: grid {key} entries must be integers >= 1, got {v!r}"
                     )
@@ -211,18 +204,7 @@ def load_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
     p = Path(path)
-    if not p.exists():
-        raise ManifestInvalid(f"config not found: {p}")
-    try:
-        text = p.read_text()
-    except (OSError, UnicodeDecodeError) as e:
-        raise ManifestInvalid(f"{p}: cannot read config: {e}") from e
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as e:  # bad or deep JSON
-        raise ManifestInvalid(f"{p}: bad JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ManifestInvalid(f"{p}: config must be a JSON object")
+    raw = json_object(read_input(p, "config", ManifestInvalid), p, ManifestInvalid)
     unknown = set(raw) - {"k", "seed", "grid", "modality_reduction", "feature_sets"}
     if unknown:
         raise ManifestInvalid(f"{p}: unknown config keys: {sorted(unknown)}")

@@ -28,6 +28,8 @@ from .errors import (
     ShapeMismatch,
     UnknownPatient,
     UnwritableOutput,
+    read_input,
+    write_output,
 )
 from .forest import DECISION_THRESHOLD, Dataset, EvalReport, loocv, roc_points
 from .manifest import _TARGET_COLUMNS, MODALITY_COLUMNS, TARGETS, PatientRecord, RunConfig
@@ -71,7 +73,7 @@ def csv_cell(value) -> str:
 def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     lines += [",".join(csv_cell(c) for c in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_output(path, "\n".join(lines) + "\n", "CSV file")
 
 
 def _jsonable(value):
@@ -81,7 +83,7 @@ def _jsonable(value):
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_output(path, json.dumps(obj, indent=2, sort_keys=True) + "\n", "JSON file")
 
 
 # --------------------------------------------------------------------------
@@ -204,12 +206,7 @@ def load_features_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     and column).
     """
     p = Path(path)
-    if not p.exists():
-        raise ManifestInvalid(f"features file not found: {p}")
-    try:
-        lines = p.read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise ManifestInvalid(f"{p}: cannot read features file: {e}") from e
+    lines = read_input(p, "features file", ManifestInvalid).splitlines()
     if not lines or not lines[0].startswith("patient_id"):
         raise ManifestInvalid(f"{p}: not a feature matrix (missing header)")
     names = lines[0].split(",")[1:]
@@ -381,7 +378,8 @@ def cmd_survive(features_path, records, config: RunConfig, out_dir) -> list[Surv
                 header = ["time", "at_risk", "deaths", "survival"]
                 write_csv(out / f"km_{name}_{fs}.csv", header, map(astuple, steps))
                 curves.append((f"predicted {name}", list(steps)))
-            (out / f"km_{fs}.svg").write_text(km_svg(curves, f"Predicted survival groups ({fs})"))
+            svg = km_svg(curves, f"Predicted survival groups ({fs})")
+            write_output(out / f"km_{fs}.svg", svg, "SVG plot")
         write_json(
             out / f"logrank_{fs}.json",
             {
@@ -441,15 +439,8 @@ def cmd_inspect(
     curve = fit.density(xs) * samples.size * bin_w
 
     svg_path = out / f"inspect_{patient_id}_map{map_index:02d}.svg"
-    svg_path.write_text(
-        histogram_svg(
-            counts,
-            edges,
-            list(xs),
-            list(curve),
-            f"{patient_id} map {map_index} ({modality}) in-ROI histogram",
-        )
-    )
+    title = f"{patient_id} map {map_index} ({modality}) in-ROI histogram"
+    write_output(svg_path, histogram_svg(counts, edges, list(xs), list(curve), title), "SVG plot")
     nz = vol.dims[2]
     pgm_path = out / f"slice_{patient_id}_map{map_index:02d}.pgm"
     write_pgm(pgm_path, np.asarray(vol.data)[:, :, nz // 2].T)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import write_output
+
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 36, 48
 PLOT_W = WIDTH - MARGIN_L - MARGIN_R
@@ -172,6 +174,4 @@ def write_pgm(path, image: np.ndarray) -> None:
     else:
         gray = np.zeros(img.shape, dtype=np.uint8)
     h, w = gray.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(gray.tobytes())
+    write_output(path, f"P5\n{w} {h}\n255\n".encode() + gray.tobytes(), "image")

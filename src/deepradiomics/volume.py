@@ -26,6 +26,10 @@ from .errors import (
     MissingFile,
     NonFiniteData,
     ShapeMismatch,
+    is_int_at_least,
+    json_object,
+    read_input,
+    write_output,
 )
 
 MODALITIES = ("T1WI", "T1CE", "T2WI", "FLAIR", "DERIVED")
@@ -90,13 +94,8 @@ class RoiMask:
 
 def _sidecar_paths(path) -> tuple[Path, Path]:
     p = Path(path)
-    name = p.name
-    if name.endswith(".vol.json"):
-        stem = name[: -len(".vol.json")]
-    elif name.endswith(".vol.raw"):
-        stem = name[: -len(".vol.raw")]
-    else:
-        stem = name
+    name = p.name.removesuffix(".vol.json")
+    stem = name if name != p.name else name.removesuffix(".vol.raw")
     return p.with_name(stem + ".vol.json"), p.with_name(stem + ".vol.raw")
 
 
@@ -110,10 +109,6 @@ def volume_exists(path) -> bool:
 _DTYPES = {"f32le": np.dtype("<f4"), "u8": np.dtype(np.uint8)}
 
 
-def _is_count(d) -> bool:
-    return isinstance(d, int) and not isinstance(d, bool) and d > 0
-
-
 def _is_spacing(s) -> bool:
     # the upper bound also rejects ints too large to convert to float
     return isinstance(s, (int, float)) and not isinstance(s, bool) and 0 < s <= sys.float_info.max
@@ -121,25 +116,16 @@ def _is_spacing(s) -> bool:
 
 def read_header(path) -> dict:
     """Parse and validate a `.vol.json` sidecar; returns the header dict."""
-    side, raw = _sidecar_paths(path)
-    if not side.exists():
-        raise MissingFile(f"no sidecar at {side}")
-    if not raw.exists():
-        raise MissingFile(f"no payload at {raw}")
-    try:
-        hdr = json.loads(side.read_text())
-    except (OSError, ValueError, RecursionError) as e:  # a directory; bad UTF-8; bad or deep JSON
-        raise MalformedHeader(f"{side}: {e}") from e
-    if not isinstance(hdr, dict):
-        raise MalformedHeader(f"{side}: header must be a JSON object")
+    side, _ = _sidecar_paths(path)
+    hdr = json_object(read_input(side, "sidecar", MalformedHeader, MissingFile), side, MalformedHeader)
     dims = hdr.get("dims")
     spacing = hdr.get("spacing_mm")
     dtype = hdr.get("dtype")
-    if not isinstance(dims, list) or len(dims) != 3 or not all(map(_is_count, dims)):
+    if not isinstance(dims, list) or len(dims) != 3 or not all(is_int_at_least(d, 1) for d in dims):
         raise MalformedHeader(f"{side}: bad dims {dims!r}")
     if not isinstance(spacing, list) or len(spacing) != 3 or not all(map(_is_spacing, spacing)):
         raise MalformedHeader(f"{side}: bad spacing_mm {spacing!r}")
-    if dtype not in _DTYPES:
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
         raise MalformedHeader(f"{side}: bad dtype {dtype!r}")
     return hdr
 
@@ -150,10 +136,7 @@ def _load_pair(path, dtype: str) -> tuple[dict, np.ndarray]:
     hdr = read_header(path)
     if hdr["dtype"] != dtype:
         raise MalformedHeader(f"{side}: expected dtype {dtype}, got {hdr['dtype']!r}")
-    try:
-        payload = raw.read_bytes()
-    except OSError as e:  # a directory, say
-        raise MalformedHeader(f"{raw}: cannot read payload: {e}") from e
+    payload = read_input(raw, "payload", MalformedHeader, MissingFile, binary=True)
     nbytes = _DTYPES[dtype].itemsize * math.prod(hdr["dims"])
     if len(payload) != nbytes:
         raise MalformedHeader(f"{raw}: payload has {len(payload)} bytes, header declares {nbytes}")
@@ -169,8 +152,8 @@ def _save_pair(path, data: np.ndarray, spacing, dtype: str, modality: str) -> No
         "dtype": dtype,
         "modality": modality,
     }
-    side.write_text(json.dumps(hdr, sort_keys=True) + "\n")
-    raw.write_bytes(np.asarray(data, dtype=_DTYPES[dtype]).tobytes(order="F"))
+    write_output(side, json.dumps(hdr, sort_keys=True) + "\n", "sidecar")
+    write_output(raw, np.asarray(data, dtype=_DTYPES[dtype]).tobytes(order="F"), "payload")
 
 
 def load_volume(path) -> Volume3D:

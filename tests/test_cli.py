@@ -336,8 +336,8 @@ class TestUnreadableInputs:
 IDS = [f"P{i}" for i in range(6)]
 
 # case -> (command, manifest patient ids, features.csv patient ids, mixture components k
-#          of features.csv (0 writes no feature columns), what --out already is,
-#          text of the error line)
+#          of features.csv (0 writes no feature columns), what --out already is (a
+#          file, a directory, or a directory at this path under it), text of the error line)
 MALFORMED_INPUTS = {
     "header-only features.csv, classify": (
         "classify", IDS, [], 2, None, "features.csv: no patient rows"
@@ -367,6 +367,18 @@ MALFORMED_INPUTS = {
     "gen-weights --out names a directory": (
         "gen-weights", IDS, IDS, 2, "directory", "out: cannot write weights file"
     ),
+    "features.csv is a directory, extract": (
+        "extract", IDS, IDS, 2, "features.csv", "out/features.csv: cannot write CSV file"
+    ),
+    "a report is a directory, classify": (
+        "classify", IDS, IDS, 2, "report_m1_R.json", "out/report_m1_R.json: cannot write JSON file"
+    ),
+    "the KM plot is a directory, survive": (
+        "survive", IDS, IDS, 2, "km_R.svg", "out/km_R.svg: cannot write SVG plot"
+    ),
+    "survival_report.csv is a directory, survive": (
+        "survive", IDS, IDS, 2, "survival_report.csv", "out/survival_report.csv: cannot write CSV file"
+    ),
 }
 
 
@@ -387,12 +399,18 @@ def test_malformed_input_is_one_clean_error_line(tmp_path, capsys, case):
         out.write_text("")
     elif existing_out == "directory":
         out.mkdir()
+    elif existing_out:
+        (out / existing_out).mkdir(parents=True)
     argv = [command, "--manifest", str(manifest), "--features", str(features),
             "--config", str(config), "--out", str(out)]
     if command == "classify":
         argv += ["--target", "m1"]
     elif command == "gen-weights":
         argv = [command, "--seed", "1", "--out", str(out)]
+    elif command == "extract":  # every patient fails, as its volumes do not exist
+        dr.save_weights(dr.generate_test_weights(1), tmp_path / "w.bin")
+        argv = [command, "--manifest", str(manifest), "--weights", str(tmp_path / "w.bin"),
+                "--config", str(config), "--out", str(out)]
     code = main(argv)
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
@@ -908,6 +926,31 @@ class TestMain:
 
     def test_deeply_nested_sidecar_skips_patient(self, small_cohort, tmp_path, capsys):
         self.assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, "[" * 100_000)
+
+    def test_list_dtype_sidecar_skips_patient(self, small_cohort, tmp_path, capsys):
+        doc = {"dims": [20, 18, 16], "spacing_mm": [1.5, 1.25, 1.0], "dtype": ["f32le"]}
+        self.assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, json.dumps(doc))
+
+    def test_negative_weights_seed_is_a_clean_error(self, tmp_path, capsys):
+        code = main(["gen-weights", "--seed", "-1", "--out", str(tmp_path / "w.bin")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: weights seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "w.bin").exists()
+
+    def test_only_errors_module_touches_files(self):
+        # read_input, json_object and write_output in errors.py own every file
+        # read and write, so their failure policy has one place to change
+        touch = re.compile(r"\bopen\(|\.(read|write)_(text|bytes)\(|json\.(load|loads|dump)\(")
+        found, exists = [], []
+        for path in sorted(Path(dr.__file__).resolve().parent.glob("*.py")):
+            for n, line in enumerate(path.read_text().splitlines(), start=1):
+                if touch.search(line) and path.name != "errors.py":
+                    found.append(f"{path.name}:{n}: {line.strip()}")
+                if ".exists(" in line:
+                    exists.append(line.strip())
+        assert not found
+        # no read is preceded by an exists() check; check_files asks volume_exists alone
+        assert exists == ["return side.exists() and raw.exists()"]
 
     def test_fatal_error_exit_code(self, tmp_path):
         code = main(["extract", "--manifest", str(tmp_path / "none.csv"),

@@ -240,7 +240,7 @@ class TestWeights:
         save_weights(dr.generate_test_weights(1), tmp_path / "w.bin")
         payload = (tmp_path / "w.bin").read_bytes().split(b"\n", 1)[1]
         (tmp_path / "w.bin").write_bytes(b"[" * 100_000 + b"\n" + payload)
-        with pytest.raises(MalformedWeights, match="w.bin: bad header: maximum recursion depth"):
+        with pytest.raises(MalformedWeights, match="w.bin: bad JSON: maximum recursion depth"):
             load_weights(tmp_path / "w.bin")
 
     def test_wrong_shape_rejected(self):

@@ -153,8 +153,9 @@ class TestVolumeIO:
             {"spacing_mm": [True, 1, 1]},
             {"spacing_mm": [1, 1, 10**400]},
             {"spacing_mm": [1, 1, "1"]},
+            {"dtype": ["u8"]},
         ],
-        ids=["bool-dims", "float-dim", "bool-spacing", "huge-int-spacing", "string-spacing"],
+        ids=["bool-dims", "float-dim", "bool-spacing", "huge-int-spacing", "string-spacing", "list-dtype"],
     )
     def test_non_numeric_header_values(self, tmp_path, patch):
         hdr = {"dims": [1, 1, 1], "spacing_mm": [1, 1, 1], "dtype": "u8", "modality": "DERIVED"}
@@ -171,16 +172,16 @@ class TestVolumeIO:
     def test_header_must_be_an_object(self, tmp_path, doc):
         (tmp_path / "v.vol.json").write_text(doc)
         (tmp_path / "v.vol.raw").write_bytes(b"")
-        with pytest.raises(MalformedHeader, match="v.vol.json: header must be a JSON object"):
+        with pytest.raises(MalformedHeader, match="v.vol.json: must be a JSON object"):
             read_header(tmp_path / "v.vol.json")
-        with pytest.raises(MalformedHeader, match="v.vol.json: header must be a JSON object"):
+        with pytest.raises(MalformedHeader, match="v.vol.json: must be a JSON object"):
             dr.load_volume(tmp_path / "v.vol.json")
 
     def test_deeply_nested_sidecar(self, tmp_path):
         (tmp_path / "v.vol.json").write_text("[" * 100_000)
         (tmp_path / "v.vol.raw").write_bytes(b"")
         for load in (read_header, dr.load_volume, dr.load_mask):
-            with pytest.raises(MalformedHeader, match="v.vol.json: maximum recursion depth"):
+            with pytest.raises(MalformedHeader, match="v.vol.json: bad JSON: maximum recursion depth"):
                 load(tmp_path / "v.vol.json")
 
     def test_directory_sidecar(self, tmp_path):
