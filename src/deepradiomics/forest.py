@@ -158,47 +158,59 @@ def _best_split(X, y, rows, sizes, feats, min_leaf):
     first = np.argmin(weighted, axis=1)
     k, j = np.divmod(first, hi - lo)
     b = np.arange(B)
-    thr = 0.5 * (xv[b, k, lo + j] + xv[b, k, lo + j + 1])
-    return weighted[b, first], feats[b, k], thr
+    below, above = xv[b, k, lo + j], xv[b, k, lo + j + 1]
+    # halving each side first cannot overflow; where the midpoint still
+    # rounds onto the upper value, the lower one splits the same rows
+    thr = 0.5 * below + 0.5 * above
+    return weighted[b, first], feats[b, k], np.where(thr < above, thr, below)
 
 
 _BLOCK = 64  # trees grown together; bounds the batched search's temporaries
 
 
 def _seed_trees(n, seeds):
-    """A generator per seed, and the n bootstrap rows each one draws first."""
+    """A generator per seed, the n bootstrap rows each one draws first, and
+    an empty list per generator for the feature subsets it draws next."""
     rngs = [np.random.default_rng(s) for s in seeds]
-    return rngs, np.array([rng.integers(0, n, size=n) for rng in rngs])
+    return rngs, np.array([rng.integers(0, n, size=n) for rng in rngs]), [[] for _ in rngs]
 
 
-def _grow_block(X, y, rngs, boot, min_leaf, mtry):
+def _grow_block(X, y, rngs, boot, drawn, min_leaf, mtry):
     """One tree per generator, all grown together in depth-first steps.
 
     Tree b grows on the bootstrap rows boot[b] from rngs[b], which has
-    drawn those rows and nothing since.  Each tree keeps its own stack and
-    walks its nodes in preorder, left before right.  A step advances every
-    unfinished tree to its next node that needs a split search (pure and
-    too-small nodes become leaves on the way and draw nothing), draws that
-    node's candidate features from the tree's generator, and searches all
-    those nodes in one _best_split call.  A generator therefore sees the
-    same draws in the same order as when its tree is grown alone.
+    drawn those rows and then the feature subsets listed in drawn[b], and
+    nothing else.  Each tree keeps its own stack and walks its nodes in
+    preorder, left before right.  A step advances every unfinished tree
+    to its next node that needs a split search (pure and too-small nodes
+    become leaves on the way and draw nothing) and searches all those
+    nodes in one _best_split call.  The i-th searched node of tree b takes
+    its candidate features from drawn[b][i], or, past the end of that
+    list, draws them from rngs[b] and appends them.  Every draw is the
+    same call, so draw i depends only on i, and a tree grows exactly as
+    when it is grown alone from a fresh generator.
     """
     d = X.shape[1]
     trees = [TreeNode() for _ in rngs]
     # a stack holds (node, rows, class-1 count) and pops the left child first
     stacks = [[entry] for entry in zip(trees, boot, y[boot].sum(axis=1).tolist())]
-    active = list(zip(rngs, stacks))
+    searched = [0] * len(trees)  # split searches so far, per tree
+    active = range(len(trees))
     while active:
         todo, draws, still = [], [], []
-        for rng, stack in active:
+        for b in active:
+            stack = stacks[b]
             while stack:
                 node, rows, n1 = stack.pop()
                 if n1 == 0 or n1 == rows.size or rows.size < 2 * min_leaf:
                     node.proba = ((rows.size - n1) / rows.size, n1 / rows.size)
                 else:
+                    if searched[b] == len(drawn[b]):
+                        drawn[b].append(rngs[b].choice(d, size=mtry, replace=False))
+                    draws.append(drawn[b][searched[b]])
+                    searched[b] += 1
                     todo.append((stack, node, rows, n1))
-                    draws.append(rng.choice(d, size=mtry, replace=False))
-                    still.append((rng, stack))
+                    still.append(b)
                     break
         if not todo:
             break
@@ -234,12 +246,15 @@ def rf_train(train: Dataset, params: RfParams, seed: int, *, _seeded=None) -> Rf
     Tree t draws its bootstrap rows and per-node feature subsets from a
     generator seeded with `seed + t` alone, so the first k trees of a
     forest are exactly the forest grown with `n_trees=k` and the same seed.
-    Each tree is seeded and bootstrapped once, by _seed_trees, unless
-    `_seeded` hands over such generators and rows for at least n_trees
-    trees, each generator as it was right after its bootstrap draw; loocv
-    passes one set to every forest of a fold's grid search.  The trees
-    grow in lockstep, in blocks of _BLOCK, with one batched split search
-    per depth-first step; each tree is exactly the tree grown alone.
+    Each tree is seeded and bootstrapped by _seed_trees, unless `_seeded`
+    hands over such a (generators, bootstrap rows, draw lists) triple for
+    at least n_trees trees, each generator having drawn nothing since its
+    bootstrap rows but the feature subsets in its draw list.  A tree takes
+    its i-th split search's features from its list and draws only past
+    the list's end, so the forests of a fold's grid search share one
+    triple and each subset is drawn once.  The trees grow in lockstep, in
+    blocks of _BLOCK, with one batched split search per depth-first step;
+    each tree is exactly the tree grown alone.
     """
     if train.n == 0:
         raise EmptyTraining("training set is empty")
@@ -250,10 +265,10 @@ def rf_train(train: Dataset, params: RfParams, seed: int, *, _seeded=None) -> Rf
     for start in range(0, params.n_trees, _BLOCK):
         stop = min(start + _BLOCK, params.n_trees)
         if _seeded is None:
-            rngs, boot = _seed_trees(train.n, range(seed + start, seed + stop))
+            block = _seed_trees(train.n, range(seed + start, seed + stop))
         else:
-            rngs, boot = _seeded[0][start:stop], _seeded[1][start:stop]
-        trees += _grow_block(train.X, train.y, rngs, boot, params.min_leaf, mtry)
+            block = [part[start:stop] for part in _seeded]  # the same draw lists, not copies
+        trees += _grow_block(train.X, train.y, *block, params.min_leaf, mtry)
     return RfModel(trees=tuple(trees), n_features=train.d)
 
 
@@ -394,30 +409,30 @@ def _prefix_groups(points) -> list[list[RfParams]]:
 def _grid_search(data: Dataset, train_idx, val_idx, points, fold_seed: int) -> RfParams:
     """The grid point with the best validation AUC for one LOOCV fold.
 
-    Each grid tree is seeded and bootstrapped once, for the largest grid
-    point, and each generator's state is saved after that draw; every
-    prefix group's forest starts from those saved states, so each tree is
-    node for node the tree rf_train grows alone.
+    The grid's forests with the same resolved mtry share one seeded set of
+    generators, bootstrap rows and draw lists (see rf_train), sized for
+    the largest of them: each grid tree is seeded and bootstrapped once
+    per mtry, and each of its feature subsets is drawn once, however many
+    min_leaf values replay it.  A single-class validation set scores
+    every point 0.5, so then no grid tree is grown and the tie-break alone
+    chooses.
     """
     train_ds = data.subset(train_idx)
     y_val = data.y[val_idx]
-    n_grid = max(p.n_trees for p in points)
-    rngs, boot = _seed_trees(train_ds.n, range(fold_seed, fold_seed + n_grid))
-    states = [rng.bit_generator.state for rng in rngs]
-    val_auc = {}
-    for k, group in enumerate(_prefix_groups(points)):
-        if k:  # rewind each generator to just after its bootstrap draw
-            for rng, state in zip(rngs, states):
-                rng.bit_generator.state = state
-        largest = max(group, key=lambda p: p.n_trees)
-        model = rf_train(train_ds, largest, fold_seed, _seeded=(rngs, boot))
-        # votes are 0, 0.5 or 1, so the sum of the first n_trees rows
-        # over n_trees is exactly rf_predict of the n_trees forest
-        votes = np.array([[tree_vote(t, data.X[v]) for v in val_idx] for t in model.trees])
-        for p in group:
-            if len(np.unique(y_val)) < 2:
-                val_auc[p] = 0.5
-            else:
+    val_auc = dict.fromkeys(points, 0.5)
+    if len(np.unique(y_val)) == 2:
+        seeded = {}  # resolved mtry -> the triple its forests share
+        for group in _prefix_groups(points):
+            largest = max(group, key=lambda p: p.n_trees)
+            mtry = largest.resolve_mtry(train_ds.d)
+            if mtry not in seeded:
+                n_grid = max(p.n_trees for p in points if p.resolve_mtry(train_ds.d) == mtry)
+                seeded[mtry] = _seed_trees(train_ds.n, range(fold_seed, fold_seed + n_grid))
+            model = rf_train(train_ds, largest, fold_seed, _seeded=seeded[mtry])
+            # votes are 0, 0.5 or 1, so the sum of the first n_trees rows
+            # over n_trees is exactly rf_predict of the n_trees forest
+            votes = np.array([[tree_vote(t, data.X[v]) for v in val_idx] for t in model.trees])
+            for p in group:
                 val_auc[p] = compute_auc(votes[: p.n_trees].sum(axis=0) / p.n_trees, y_val)
     # best AUC, then the smallest forest, then the largest leaves;
     # remaining ties go to the first point in grid order
@@ -430,8 +445,9 @@ def loocv(data: Dataset, grid, seed: int) -> EvalReport:
     The held-out row never touches tree growth or hyperparameter selection
     for its own fold; per-fold seeds are seed + fold*10007 so folds can be
     computed in any order.  Each fold's grid search (_grid_search) seeds
-    and bootstraps each grid tree once and restores the saved generator
-    states for every forest of the grid.
+    and bootstraps each grid tree once per mtry and draws each of its
+    feature subsets once, for all the grid's forests; it grows no tree
+    when the fold's validation rows hold a single class.
     """
     if data.n < 3:
         raise TooFewRows(f"LOOCV needs at least 3 rows, got {data.n}")

@@ -1,11 +1,15 @@
 """Random forest, AUC/confusion metrics and LOOCV hygiene."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from deepradiomics import forest
 from deepradiomics.errors import (
     DimMismatch,
     EmptyTraining,
@@ -21,6 +25,7 @@ from deepradiomics.forest import (
     RfParams,
     TreeNode,
     _best_split,
+    _grid_search,
     _stratified_split,
     compute_auc,
     confusion_matrix,
@@ -47,6 +52,35 @@ def separable_1d(n=20):
     x = np.array([(-1.0 - i) if i % 2 == 0 else (1.0 + i) for i in range(n)])
     y = (x > 0).astype(int)
     return Dataset(ids=tuple(f"p{i}" for i in range(n)), X=x.reshape(-1, 1), y=y)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class CountingRng:
+    """A generator that counts its `choice` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.choices = rng, 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return self.rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 def tree_signature(node):
@@ -114,6 +148,25 @@ class TestRfTrain:
         with pytest.raises(ValueError, match=">= 1"):
             RfParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (1 + np.spacing(1.0), 1 + 2 * np.spacing(1.0)),  # the midpoint rounds onto high
+            (1e308, 1.7e308),  # low + high overflows to inf
+            (-1.7e308, -1e308),  # and to -inf
+        ],
+    )
+    def test_adjacent_values_split_and_stop(self, low, high):
+        X = np.array([[low], [high], [low], [high]])
+        ds = Dataset(ids=tuple("abcd"), X=X, y=np.array([0, 1, 0, 1]))
+        with time_limit(2.0):  # a threshold of high sends every row left, forever
+            model = rf_train(ds, RfParams(n_trees=10), seed=0)
+        split = [t for t in model.trees if t.proba is None]
+        assert split  # some bootstrap draws both values
+        for tree in split:
+            assert low <= tree.threshold < high
+            assert tree.left.proba == (1.0, 0.0) and tree.right.proba == (0.0, 1.0)
+
     def test_errors(self):
         with pytest.raises(EmptyTraining):
             rf_train(Dataset(ids=(), X=np.empty((0, 2)), y=np.empty(0, int)), RfParams(), 0)
@@ -149,7 +202,9 @@ def reference_best_split(X, y, rows, feats, min_leaf):
         weighted = (left_n * gl + rn * gr) / n
         j = int(np.argmin(weighted))  # first minimum -> lowest threshold
         if best is None or weighted[j] < best[0]:
-            thr = 0.5 * (xv[cut[j]] + xv[cut[j] + 1])
+            below, above = xv[cut[j]], xv[cut[j] + 1]
+            thr = 0.5 * below + 0.5 * above  # the midpoint, unless it rounds onto above
+            thr = thr if thr < above else below
             best = (float(weighted[j]), int(f), float(thr))
     return best
 
@@ -502,6 +557,12 @@ class TestLoocv:
                 RfParams(n_trees=130, min_leaf=2, mtry=2),
                 RfParams(n_trees=64, min_leaf=3),
             ],
+            # each min_leaf under three mtry values; None and 1 both resolve to 1
+            [
+                RfParams(n_trees=nt, min_leaf=ml, mtry=m)
+                for nt, m in ((6, None), (12, 1), (20, 2), (9, 3))
+                for ml in (1, 3)
+            ],
         ],
     )
     def test_matches_brute_force_grid_search(self, grid):
@@ -534,6 +595,69 @@ class TestLoocv:
             expected += [fold_seed, *range(fold_seed, fold_seed + 70)]
             expected += range(fold_seed, fold_seed + audit.chosen.n_trees)
         assert seeds == expected
+
+    def test_grid_draws_each_feature_subset_once(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        y = np.array([0, 1] * 15)
+        X = rng.normal(size=(30, 5)) + 0.5 * y[:, None]
+        ds = Dataset(ids=tuple(f"g{i}" for i in range(30)), X=X, y=y)
+        train_idx, val_idx = _stratified_split(y, np.arange(30), np.random.default_rng(0))
+        assert len(np.unique(y[val_idx])) == 2
+        grid_rngs = []
+        seed_trees = forest._seed_trees
+
+        def counting_seed_trees(n, seeds):
+            rngs, *rest = seed_trees(n, seeds)
+            counted = [CountingRng(r) for r in rngs]
+            grid_rngs.extend(counted)
+            return counted, *rest
+
+        monkeypatch.setattr(forest, "_seed_trees", counting_seed_trees)
+        points = expand_grid({"n_trees": [10, 30], "min_leaf": [1, 2, 4]})
+        _grid_search(ds, train_idx, val_idx, points, 5)
+        monkeypatch.undo()
+        # split searches of tree t grown alone at each min_leaf
+        train = ds.subset(train_idx)
+        searches = []
+        for t in range(30):
+            per_leaf = []
+            for min_leaf in (1, 2, 4):
+                tree_rng = CountingRng(np.random.default_rng(5 + t))
+                rows = tree_rng.integers(0, train.n, size=train.n)
+                reference_grow(train.X, train.y, rows, tree_rng, min_leaf, 2)  # mtry floor(sqrt(5))
+                per_leaf.append(tree_rng.choices)
+            searches.append(per_leaf)
+        assert [r.choices for r in grid_rngs] == [max(c) for c in searches]
+        assert sum(map(sum, searches)) > sum(map(max, searches))
+
+    def test_single_class_validation_grows_no_grid_tree(self, monkeypatch):
+        # two positives: a fold holding one out keeps the other in training,
+        # so its validation rows are all negative
+        rng = np.random.default_rng(9)
+        y = np.array([1, 1] + [0] * 8)
+        X = rng.normal(size=(10, 2)) + y[:, None]
+        ds = Dataset(ids=tuple(f"s{i}" for i in range(10)), X=X, y=y)
+        grid = {"n_trees": [5, 10], "min_leaf": [1, 2]}
+        chosen, scores = reference_loocv(ds, grid, seed=6)
+        seeded = []
+        seed_trees = forest._seed_trees
+
+        def recording_seed_trees(n, seeds):
+            seeded.append((n, seeds[0]))
+            return seed_trees(n, seeds)
+
+        monkeypatch.setattr(forest, "_seed_trees", recording_seed_trees)
+        report = loocv(ds, grid, seed=6)
+        monkeypatch.undo()
+        assert [a.chosen for a in report.folds] == chosen
+        assert [s for _, s, _ in report.per_patient_scores] == scores
+        single = []
+        for i, audit in enumerate(report.folds):
+            one_class = len({ds.y[ds.ids.index(v)] for v in audit.val_ids}) == 1
+            grid_calls = seeded.count((len(audit.train_ids), 6 + i * 10007))
+            assert grid_calls == (0 if one_class else 1)
+            single.append(one_class)
+        assert single == [True, True] + [False] * 8
 
     def test_determinism(self):
         ds = blob_dataset(n_per_class=12, seed=6)
