@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .errors import (
     DegenerateOutput,
@@ -192,24 +191,40 @@ def _round_half_up(x: float) -> int:
 
 def _iso_grid(dims, spacing) -> tuple[tuple[int, int, int], list[np.ndarray]]:
     """Dims of the ISO_MM grid and, per axis, its voxel centres in source voxel units."""
-    out = tuple(_round_half_up(n * s / ISO_MM) for n, s in zip(dims, spacing))
-    if any(d < 1 for d in out):
+    extent = [n * s / ISO_MM for n, s in zip(dims, spacing)]
+    if not all(math.isfinite(e) and _round_half_up(e) >= 1 for e in extent):
         raise DegenerateOutput(
-            f"resampling {dims} at spacing {spacing} to {ISO_MM} mm gives dims {out}"
+            f"resampling {dims} at spacing {spacing} to {ISO_MM} mm gives {extent} voxels per axis"
         )
+    out = tuple(map(_round_half_up, extent))
     return out, [np.arange(od, dtype=np.float64) * (ISO_MM / s) for od, s in zip(out, spacing)]
 
 
 def _trilinear_grid(data: np.ndarray, coords_1d: list[np.ndarray]) -> np.ndarray:
     """Trilinear interpolation of `data` on the separable grid of coords.
 
-    Coordinates are in voxel-index space and clamped to the valid range, so
-    sampling outside the grid replicates edge values.
+    Coordinates are in voxel-index space.  Corner indices, not coordinates,
+    are clamped to the grid: a point t past the last voxel v gets
+    (1-t)*v + (1-(1-t))*v.  tests/test_volume.py pins the float operations
+    (w1 = 1-w0, ((v*wx)*wy)*wz, x-major sum) bit for bit to a reference.
     """
-    grid = np.meshgrid(*coords_1d, indexing="ij")
-    return map_coordinates(
-        np.asarray(data, dtype=np.float64), np.stack(grid), order=1, mode="nearest"
-    )
+    corners = []
+    for c, n in zip(coords_1d, data.shape):
+        f = np.floor(c)
+        w0 = 1.0 - (c - f)
+        i0 = f.astype(np.intp)
+        corners.append([(np.clip(i0, 0, n - 1), w0), (np.clip(i0 + 1, 0, n - 1), 1.0 - w0)])
+    out = np.zeros([len(c) for c in coords_1d])
+    for ix, wx in corners[0]:
+        vx = data[ix] * wx[:, None, None]  # float64 whatever data's dtype
+        for iy, wy in corners[1]:
+            vy = vx[:, iy]
+            vy *= wy[:, None]
+            for iz, wz in corners[2]:
+                vz = vy[:, :, iz]
+                vz *= wz
+                out += vz
+    return out
 
 
 def resample_isotropic(vol: Volume3D) -> Volume3D:

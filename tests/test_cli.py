@@ -28,6 +28,8 @@ from deepradiomics.cli import main
 from deepradiomics.errors import (
     BadMapIndex,
     DegenerateLabels,
+    DegenerateOutput,
+    MalformedHeader,
     MalformedWeights,
     ManifestInvalid,
     MissingColumn,
@@ -647,25 +649,34 @@ class TestClassify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(features) in err and "P02" in err and "f000_s2" in err
 
-    def test_scipy_stats_is_never_imported(self, tmp_path):
-        # scipy.stats costs about 44 MB of resident memory; nothing here needs it
+    def test_scipy_is_never_imported(self, tmp_path):
+        # the package runs on numpy alone; scipy would add about 26 MB of
+        # resident memory to every run, and 44 MB more with scipy.stats
+        manifest = build_texture_cohort(tmp_path / "cohort", n=3, seed=4)
         features, _ = planted_cohort(tmp_path, n=8, seed=5)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"grid": {"n_trees": [5], "min_leaf": [1]}, "feature_sets": ["R"]}))
-        argv = ["classify", "--features", str(features), "--manifest", str(tmp_path / "manifest.csv"),
-                "--target", "m1", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        extract = ["extract", "--manifest", str(manifest), "--weights",
+                   str(manifest.parent / "weights.bin"), "--out", str(tmp_path / "extracted")]
+        classify = ["classify", "--features", str(features), "--manifest", str(tmp_path / "manifest.csv"),
+                    "--target", "m1", "--config", str(cfg), "--out", str(tmp_path / "out")]
         script = textwrap.dedent(f"""
             import sys
+            def scipy_modules():
+                return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
             import deepradiomics
-            assert "scipy.stats" not in sys.modules, "imported by deepradiomics"
+            assert not scipy_modules(), f"imported by deepradiomics: {{scipy_modules()}}"
             from deepradiomics.cli import main
-            assert main({argv!r}) == 0
-            assert "scipy.stats" not in sys.modules, "imported by classify"
+            assert main({extract!r}) == 0
+            assert not scipy_modules(), f"imported by extract: {{scipy_modules()}}"
+            assert main({classify!r}) == 0
+            assert not scipy_modules(), f"imported by classify: {{scipy_modules()}}"
         """)
         src = str(Path(dr.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr[-3000:]
+        assert len(load_features_csv(tmp_path / "extracted" / "features.csv")[0]) == 3
         assert (tmp_path / "out" / "report_m1_R.json").exists()
 
     def test_unknown_target(self, tmp_path):
@@ -907,29 +918,42 @@ class TestMain:
         assert code == 2
 
     @staticmethod
-    def assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, doc):
+    def assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, docs,
+                                 error=MalformedHeader, detail="S00_a.vol.json"):
+        """Extract on a cohort whose S00 sidecars are rewritten to `docs` (file name ->
+        text) skips S00 with `error`, whose message holds `detail`, and no traceback."""
         cohort = tmp_path / "cohort"
         shutil.copytree(small_cohort.parent, cohort)
-        (cohort / "S00_a.vol.json").write_text(doc)
+        for name, doc in docs.items():
+            (cohort / name).write_text(doc)
         code = main(["extract", "--manifest", str(cohort / small_cohort.name),
                      "--weights", str(cohort / "weights.bin"), "--out", str(tmp_path / "out")])
         assert code == 2
         captured = capsys.readouterr()
         assert "extracted 4/5" in captured.out
-        assert "failed S00: MalformedHeader:" in captured.err
-        assert "S00_a.vol.json" in captured.err and "Traceback" not in captured.err
+        assert f"failed S00: {error.__name__}:" in captured.err
+        assert detail in captured.err and "Traceback" not in captured.err
         ids, _, _ = load_features_csv(tmp_path / "out" / "features.csv")
         assert "S00" not in ids
 
     def test_bad_sidecar_skips_patient(self, small_cohort, tmp_path, capsys):
-        self.assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, "[1, 2, 3]")
+        self.assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, {"S00_a.vol.json": "[1, 2, 3]"})
 
     def test_deeply_nested_sidecar_skips_patient(self, small_cohort, tmp_path, capsys):
-        self.assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, "[" * 100_000)
+        self.assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, {"S00_a.vol.json": "[" * 100_000})
 
     def test_list_dtype_sidecar_skips_patient(self, small_cohort, tmp_path, capsys):
         doc = {"dims": [20, 18, 16], "spacing_mm": [1.5, 1.25, 1.0], "dtype": ["f32le"]}
-        self.assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, json.dumps(doc))
+        self.assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, {"S00_a.vol.json": json.dumps(doc)})
+
+    def test_overflowing_spacing_skips_patient(self, small_cohort, tmp_path, capsys):
+        # 20 voxels x 1e308 mm is inf mm; the mask shares the spacing, so the
+        # mask-spacing check passes and resampling must reject it
+        header = {"dims": [20, 18, 16], "spacing_mm": [1e308, 1, 1], "modality": "T1CE"}
+        docs = {"S00_a.vol.json": json.dumps({**header, "dtype": "f32le"}),
+                "S00_mask.vol.json": json.dumps({**header, "dtype": "u8"})}
+        self.assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, docs, DegenerateOutput,
+                                      "at spacing (1e+308, 1.0, 1.0)")
 
     def test_negative_weights_seed_is_a_clean_error(self, tmp_path, capsys):
         code = main(["gen-weights", "--seed", "-1", "--out", str(tmp_path / "w.bin")])
@@ -951,6 +975,16 @@ class TestMain:
         assert not found
         # no read is preceded by an exists() check; check_files asks volume_exists alone
         assert exists == ["return side.exists() and raw.exists()"]
+
+    def test_no_module_imports_scipy(self):
+        # scipy is a test oracle only; pyproject.toml lists numpy alone at run time
+        imports = re.compile(r"^\s*(import|from)\s+scipy\b|import_module\(\s*[\"']scipy")
+        found = []
+        for path in sorted(Path(dr.__file__).resolve().parent.glob("*.py")):
+            for n, line in enumerate(path.read_text().splitlines(), start=1):
+                if imports.search(line):
+                    found.append(f"{path.name}:{n}: {line.strip()}")
+        assert not found
 
     def test_fatal_error_exit_code(self, tmp_path):
         code = main(["extract", "--manifest", str(tmp_path / "none.csv"),

@@ -1,9 +1,11 @@
 """Golden output hashes: every file extract, classify, survive and inspect write.
 
 The rule: a hash in GOLDEN may change only in a change whose CHANGES.md
-entry names the file and says why its bytes changed.  A numpy or scipy
-upgrade that moves a hash is a finding to report, not a reason to re-pin.
-Never re-pin silently.
+entry names the file and says why its bytes changed.  The package runs on
+numpy alone, so of its dependencies only a numpy upgrade can move an output
+hash; the test cohort's textures come from scipy's gaussian_filter, so a
+scipy upgrade can move them only through the inputs.  Either is a finding
+to report, not a reason to re-pin.  Never re-pin silently.
 """
 
 import hashlib

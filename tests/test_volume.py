@@ -2,12 +2,13 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import label
+from scipy.ndimage import label, map_coordinates
 
 import deepradiomics as dr
 from deepradiomics.errors import (
@@ -18,7 +19,13 @@ from deepradiomics.errors import (
     NonFiniteData,
     ShapeMismatch,
 )
-from deepradiomics.volume import extract_cnn_input, read_header, resample_mask
+from deepradiomics.volume import (
+    _iso_grid,
+    _trilinear_grid,
+    extract_cnn_input,
+    read_header,
+    resample_mask,
+)
 
 
 # --------------------------------------------------------------------------
@@ -55,13 +62,18 @@ def resample_ref(data, spacing, target):
     return out
 
 
-def resize_ref(data, out_dims):
+def align_corners_coords(in_dims, out_dims):
     coords = []
-    for n_in, n_out in zip(data.shape, out_dims):
+    for n_in, n_out in zip(in_dims, out_dims):
         if n_out == 1:
             coords.append([(n_in - 1) / 2.0])
         else:
             coords.append([j * (n_in - 1) / (n_out - 1) for j in range(n_out)])
+    return coords
+
+
+def resize_ref(data, out_dims):
+    coords = align_corners_coords(data.shape, out_dims)
     out = np.empty(out_dims)
     for i, cx in enumerate(coords[0]):
         for j, cy in enumerate(coords[1]):
@@ -271,9 +283,47 @@ class TestResample:
             np.testing.assert_allclose(out.data, ref, rtol=1e-9, atol=1e-12)
 
     def test_degenerate_output(self):
-        vol = dr.Volume3D(data=np.zeros((1, 1, 1)), spacing=(0.3, 1.0, 1.0))
-        with pytest.raises(DegenerateOutput):
-            dr.resample_isotropic(vol)
+        # an extent that rounds to 0 voxels, and one that overflows to inf
+        for dims, spacing in [((1, 1, 1), (0.3, 1.0, 1.0)), ((4, 4, 4), (1e308, 1.0, 1.0))]:
+            named = re.escape(f"resampling {dims} at spacing {spacing}")
+            with pytest.raises(DegenerateOutput, match=named):
+                dr.resample_isotropic(dr.Volume3D(data=np.zeros(dims), spacing=spacing))
+            with pytest.raises(DegenerateOutput, match=named):
+                resample_mask(dr.RoiMask(voxels=np.ones(dims, dtype=np.uint8)), spacing)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(*[st.integers(1, 29)] * 3),
+        st.sampled_from(["f32", "f64", "binary"]),
+        st.one_of(
+            st.tuples(*[st.floats(0.3, 4.0)] * 3).map(lambda s: ("iso", s)),
+            st.tuples(*[st.integers(1, 64)] * 3).map(lambda d: ("align", d)),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_map_coordinates(self, dims, kind, grid, seed):
+        # compared as uint64 views, so -0.0 against 0.0 counts as a difference
+        rng = np.random.default_rng(seed)
+        if kind == "binary":
+            data = (rng.random(dims) > 0.5).astype(np.uint8)
+        else:
+            data = rng.standard_normal(dims).astype(np.float32 if kind == "f32" else np.float64)
+        if grid[0] == "iso":
+            try:
+                _, coords = _iso_grid(dims, grid[1])
+            except DegenerateOutput:
+                return
+        else:
+            coords = [np.array(c) for c in align_corners_coords(dims, grid[1])]
+        ref = map_coordinates(
+            np.asarray(data, dtype=np.float64),
+            np.stack(np.meshgrid(*coords, indexing="ij")),
+            order=1,
+            mode="nearest",
+        )
+        out = _trilinear_grid(data, coords)
+        assert out.shape == ref.shape
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
     def test_mask_resampling_stays_nonempty(self):
         vox = np.zeros((5, 5, 5), dtype=np.uint8)
