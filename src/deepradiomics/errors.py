@@ -31,7 +31,7 @@ class NonFiniteData(RadiomicsError):
 
 
 class DegenerateOutput(RadiomicsError):
-    """Resampling would produce a zero-sized axis."""
+    """Resampling would produce a zero-sized axis or more than MAX_VOXELS voxels."""
 
 
 class EmptyMask(RadiomicsError):

@@ -1,6 +1,6 @@
 """Random forest with leave-one-out cross-validation and ROC metrics.
 
-CART trees, Gini impurity, bootstrap resampling, and sqrt(d) feature
+CART trees, Gini impurity, bootstrap resampling, and floor(sqrt(d)) feature
 subsampling at every node.  Everything is seeded and tie-breaking is fixed
 (lowest feature index, then lowest threshold), so a (data, grid, seed)
 triple always produces the same model and the same evaluation report.
@@ -9,7 +9,7 @@ triple always produces the same model and the same evaluation report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,18 +62,12 @@ class Dataset:
 class RfParams:
     n_trees: int = 300
     min_leaf: int = 1
-    mtry: int | None = None  # None -> floor(sqrt(d))
 
     def __post_init__(self):
         if self.n_trees < 1 or self.min_leaf < 1:
             raise ValueError(
                 f"n_trees and min_leaf must be >= 1, got {self.n_trees} and {self.min_leaf}"
             )
-
-    def resolve_mtry(self, d: int) -> int:
-        if self.mtry is not None:
-            return max(1, min(self.mtry, d))
-        return max(1, min(int(math.isqrt(d)), d))
 
 
 @dataclass
@@ -243,9 +237,10 @@ def _grow_block(X, y, rngs, boot, drawn, min_leaf, mtry):
 def rf_train(train: Dataset, params: RfParams, seed: int, *, _seeded=None) -> RfModel:
     """Grow a seeded forest on bootstrap resamples of `train`.
 
-    Tree t draws its bootstrap rows and per-node feature subsets from a
-    generator seeded with `seed + t` alone, so the first k trees of a
-    forest are exactly the forest grown with `n_trees=k` and the same seed.
+    Each split search draws floor(sqrt(d)) candidate features.  Tree t
+    draws its bootstrap rows and per-node feature subsets from a generator
+    seeded with `seed + t` alone, so the first k trees of a forest are
+    exactly the forest grown with `n_trees=k` and the same seed.
     Each tree is seeded and bootstrapped by _seed_trees, unless `_seeded`
     hands over such a (generators, bootstrap rows, draw lists) triple for
     at least n_trees trees, each generator having drawn nothing since its
@@ -260,7 +255,7 @@ def rf_train(train: Dataset, params: RfParams, seed: int, *, _seeded=None) -> Rf
         raise EmptyTraining("training set is empty")
     if len(np.unique(train.y)) < 2:
         raise SingleClassTraining("training set has a single class")
-    mtry = params.resolve_mtry(train.d)
+    mtry = max(1, math.isqrt(train.d))
     trees = []
     for start in range(0, params.n_trees, _BLOCK):
         stop = min(start + _BLOCK, params.n_trees)
@@ -363,16 +358,13 @@ def roc_points(scores, labels) -> list[tuple[float, float]]:
 # leave-one-out cross-validation with per-fold grid search
 # --------------------------------------------------------------------------
 
-def expand_grid(grid) -> list[RfParams]:
-    """Accepts {'n_trees': [...], 'min_leaf': [...]} or an RfParams list."""
-    if isinstance(grid, dict):
-        points = [
-            RfParams(n_trees=int(nt), min_leaf=int(ml))
-            for nt in grid["n_trees"]
-            for ml in grid["min_leaf"]
-        ]
-    else:
-        points = list(grid)
+def expand_grid(grid: dict) -> list[RfParams]:
+    """The points of a {'n_trees': [...], 'min_leaf': [...]} grid, by (n_trees, min_leaf)."""
+    points = [
+        RfParams(n_trees=int(nt), min_leaf=int(ml))
+        for nt in grid["n_trees"]
+        for ml in grid["min_leaf"]
+    ]
     if not points:
         raise ValueError("hyperparameter grid is empty")
     return sorted(points, key=lambda p: (p.n_trees, p.min_leaf))
@@ -394,60 +386,47 @@ def _stratified_split(y, rest, rng):
     return np.array(train, dtype=np.int64), np.array(sorted(val_set), dtype=np.int64)
 
 
-def _prefix_groups(points) -> list[list[RfParams]]:
-    """Grid points that differ only in n_trees, grouped in grid order.
-
-    The forests of one group are prefixes of the group's largest forest
-    (see rf_train), so each group needs only one forest.
-    """
-    groups: dict[RfParams, list[RfParams]] = {}
-    for p in points:
-        groups.setdefault(replace(p, n_trees=1), []).append(p)
-    return list(groups.values())
-
-
 def _grid_search(data: Dataset, train_idx, val_idx, points, fold_seed: int) -> RfParams:
     """The grid point with the best validation AUC for one LOOCV fold.
 
-    The grid's forests with the same resolved mtry share one seeded set of
-    generators, bootstrap rows and draw lists (see rf_train), sized for
-    the largest of them: each grid tree is seeded and bootstrapped once
-    per mtry, and each of its feature subsets is drawn once, however many
-    min_leaf values replay it.  A single-class validation set scores
-    every point 0.5, so then no grid tree is grown and the tie-break alone
-    chooses.
+    Every min_leaf of the grid pairs with the grid's largest n_trees, so
+    one forest of that size per min_leaf scores all the grid's points
+    through its prefixes (see rf_train).  The forests, grown one min_leaf
+    after another, share one seeded set of generators, bootstrap rows and
+    draw lists: each grid tree is seeded and bootstrapped once, and each
+    of its feature subsets is drawn once, however many min_leaf values
+    replay it.  A single-class validation set scores every point 0.5, so
+    then no grid tree is grown and the tie-break alone chooses.
     """
     train_ds = data.subset(train_idx)
     y_val = data.y[val_idx]
     val_auc = dict.fromkeys(points, 0.5)
     if len(np.unique(y_val)) == 2:
-        seeded = {}  # resolved mtry -> the triple its forests share
-        for group in _prefix_groups(points):
-            largest = max(group, key=lambda p: p.n_trees)
-            mtry = largest.resolve_mtry(train_ds.d)
-            if mtry not in seeded:
-                n_grid = max(p.n_trees for p in points if p.resolve_mtry(train_ds.d) == mtry)
-                seeded[mtry] = _seed_trees(train_ds.n, range(fold_seed, fold_seed + n_grid))
-            model = rf_train(train_ds, largest, fold_seed, _seeded=seeded[mtry])
+        n_grid = max(p.n_trees for p in points)
+        seeded = _seed_trees(train_ds.n, range(fold_seed, fold_seed + n_grid))
+        for min_leaf in sorted({p.min_leaf for p in points}):
+            model = rf_train(train_ds, RfParams(n_grid, min_leaf), fold_seed, _seeded=seeded)
             # votes are 0, 0.5 or 1, so the sum of the first n_trees rows
             # over n_trees is exactly rf_predict of the n_trees forest
             votes = np.array([[tree_vote(t, data.X[v]) for v in val_idx] for t in model.trees])
-            for p in group:
-                val_auc[p] = compute_auc(votes[: p.n_trees].sum(axis=0) / p.n_trees, y_val)
+            for p in points:
+                if p.min_leaf == min_leaf:
+                    val_auc[p] = compute_auc(votes[: p.n_trees].sum(axis=0) / p.n_trees, y_val)
     # best AUC, then the smallest forest, then the largest leaves;
     # remaining ties go to the first point in grid order
     return min(points, key=lambda p: (-val_auc[p], p.n_trees, -p.min_leaf))
 
 
-def loocv(data: Dataset, grid, seed: int) -> EvalReport:
-    """Leave-one-out evaluation with an inner 80/20 grid search per fold.
+def loocv(data: Dataset, grid: dict, seed: int) -> EvalReport:
+    """Leave-one-out evaluation with an inner 80/20 search of the
+    {'n_trees': [...], 'min_leaf': [...]} grid per fold.
 
     The held-out row never touches tree growth or hyperparameter selection
     for its own fold; per-fold seeds are seed + fold*10007 so folds can be
     computed in any order.  Each fold's grid search (_grid_search) seeds
-    and bootstraps each grid tree once per mtry and draws each of its
-    feature subsets once, for all the grid's forests; it grows no tree
-    when the fold's validation rows hold a single class.
+    and bootstraps each grid tree once and draws each of its feature
+    subsets once, for all the grid's forests; it grows no tree when the
+    fold's validation rows hold a single class.
     """
     if data.n < 3:
         raise TooFewRows(f"LOOCV needs at least 3 rows, got {data.n}")

@@ -181,19 +181,12 @@ def _em_rows(x, mu, var, w, floor, max_iter: int) -> list[GmmFit]:
     return fits
 
 
-def em_fit_rows(
-    rows,
-    k: int,
-    *,
-    init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    max_iter: int = EM_MAX_ITER,
-) -> list[GmmFit]:
+def em_fit_rows(rows, k: int, *, max_iter: int = EM_MAX_ITER) -> list[GmmFit]:
     """Fit a k-component 1-D Gaussian mixture by EM to each row of (B, n) samples.
 
+    Each row starts from its quantile means (see the module docstring).
     The rows are fitted as one batch; each result equals, bit for bit, a
-    separate `em_fit` of that row.  `init` overrides the initial (means,
-    variances, weights) of every row, mainly for permutation-invariance
-    testing.
+    separate `em_fit` of that row.
 
     If a row holds fewer than k distinct values, the surplus components
     are emitted as floored-variance duplicates at the row maximum with
@@ -213,15 +206,9 @@ def em_fit_rows(
     for kk in np.unique(fit_k).tolist():
         idx = np.flatnonzero(fit_k == kk)
         sub = X[idx]
-        if init is None or kk < k:
-            mu = np.quantile(sub, (np.arange(kk) + 0.5) / kk, axis=1).T
-            var = np.repeat(np.maximum(sub.var(axis=1), floor[idx])[:, None], kk, axis=1)
-            w = np.full((len(idx), kk), 1.0 / kk)
-        else:
-            mu = np.tile(np.asarray(init[0], dtype=np.float64), (len(idx), 1))
-            var = np.maximum(np.asarray(init[1], dtype=np.float64), floor[idx, None])
-            w = np.asarray(init[2], dtype=np.float64)
-            w = np.tile(w / w.sum(), (len(idx), 1))
+        mu = np.quantile(sub, (np.arange(kk) + 0.5) / kk, axis=1).T
+        var = np.repeat(np.maximum(sub.var(axis=1), floor[idx])[:, None], kk, axis=1)
+        w = np.full((len(idx), kk), 1.0 / kk)
         batch = _em_rows(sub, mu, var, w, floor[idx], max_iter)
         for i, fit in zip(idx, batch):
             fits[i] = fit if kk == k else _with_surplus(fit, k, float(X[i].max()), floor[i])
@@ -244,16 +231,10 @@ def _with_surplus(base: GmmFit, k: int, top: float, floor: float) -> GmmFit:
     )
 
 
-def em_fit(
-    samples,
-    k: int,
-    *,
-    init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    max_iter: int = EM_MAX_ITER,
-) -> GmmFit:
+def em_fit(samples, k: int, *, max_iter: int = EM_MAX_ITER) -> GmmFit:
     """Fit a k-component 1-D Gaussian mixture by EM: `em_fit_rows` on one row."""
     x = np.asarray(samples, dtype=np.float64).reshape(1, -1)
-    return em_fit_rows(x, k, init=init, max_iter=max_iter)[0]
+    return em_fit_rows(x, k, max_iter=max_iter)[0]
 
 
 # --------------------------------------------------------------------------

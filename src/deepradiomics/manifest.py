@@ -42,6 +42,11 @@ _TARGET_COLUMNS = {
 }
 TARGETS = tuple(_TARGET_COLUMNS)
 
+# EM holds (maps, k, samples) arrays, and every grid tree gets a generator
+# before any tree grows, so both sizes have a ceiling
+MAX_K = 16
+MAX_TREES = 10_000  # 20x the paper's largest forest
+
 
 @dataclass(frozen=True)
 class PatientRecord:
@@ -169,8 +174,8 @@ class RunConfig:
     feature_sets: tuple[str, ...] = FEATURE_SETS
 
     def __post_init__(self):
-        if not is_int_at_least(self.k, 1):
-            raise ManifestInvalid(f"config: k must be an integer >= 1, got {self.k!r}")
+        if not is_int_at_least(self.k, 1) or self.k > MAX_K:
+            raise ManifestInvalid(f"config: k must be an integer in [1, {MAX_K}], got {self.k!r}")
         if not is_int_at_least(self.seed, 0):
             raise ManifestInvalid(f"config: seed must be an integer >= 0, got {self.seed!r}")
         if self.modality_reduction not in ("mean", "concat"):
@@ -197,6 +202,8 @@ class RunConfig:
                     raise ManifestInvalid(
                         f"config: grid {key} entries must be integers >= 1, got {v!r}"
                     )
+                if key == "n_trees" and v > MAX_TREES:
+                    raise ManifestInvalid(f"config: grid n_trees entries must be <= {MAX_TREES}, got {v}")
 
 
 def load_config(path=None) -> RunConfig:

@@ -34,6 +34,7 @@ from .errors import (
 MODALITIES = ("T1WI", "T1CE", "T2WI", "FLAIR", "DERIVED")
 
 ISO_MM = 1.0  # isotropic voxel size the network input is resampled to
+MAX_VOXELS = 2**27  # largest resampled grid, 1 GiB of float64
 CNN_INPUT_SIZE = 64
 
 
@@ -197,6 +198,11 @@ def _iso_grid(dims, spacing) -> tuple[tuple[int, int, int], list[np.ndarray]]:
             f"resampling {dims} at spacing {spacing} to {ISO_MM} mm gives {extent} voxels per axis"
         )
     out = tuple(map(_round_half_up, extent))
+    if math.prod(out) > MAX_VOXELS:
+        raise DegenerateOutput(
+            f"resampling {dims} at spacing {spacing} to {ISO_MM} mm gives {out} voxels,"
+            f" more than the cap of {MAX_VOXELS}"
+        )
     return out, [np.arange(od, dtype=np.float64) * (ISO_MM / s) for od, s in zip(out, spacing)]
 
 

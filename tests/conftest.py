@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,23 @@ from scipy.ndimage import gaussian_filter
 
 import deepradiomics as dr
 from deepradiomics.cnn import generate_test_weights, save_weights
+
+ADDRESS_SPACE_LIMIT = 3 << 29  # 1.5 GiB
+
+
+def run_memory_limited(script: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter whose address space is capped at
+    ADDRESS_SPACE_LIMIT, so that an unbounded allocation fails in the child
+    with a MemoryError instead of taking the host's memory."""
+    prelude = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE_LIMIT}, {ADDRESS_SPACE_LIMIT}))\n"
+    )
+    src = str(Path(dr.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "RADIOMICS_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True)
+
 
 MANIFEST_HEADER = (
     "patient_id,t1wi,t1ce,t2wi,flair,mask,age,gender,os_months,event,"

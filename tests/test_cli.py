@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import build_texture_cohort, write_bare_manifest, write_feature_csv
+from conftest import build_texture_cohort, run_memory_limited, write_bare_manifest, write_feature_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -184,6 +184,7 @@ class TestConfig:
         "raw",
         [
             {"k": 0},
+            {"k": 17},
             {"k": 2.5},
             {"k": True},
             {"seed": -1},
@@ -216,8 +217,9 @@ class TestConfig:
             {"n_trees": [10.5], "min_leaf": [1]},
             {"n_trees": [True], "min_leaf": [1]},
             {"n_trees": [10], "min_leaf": [-1]},
+            {"n_trees": [10, 10_001], "min_leaf": [1]},
         ],
-        ids=["zero", "string", "float", "bool", "negative-leaf"],
+        ids=["zero", "string", "float", "bool", "negative-leaf", "past-tree-cap"],
     )
     def test_invalid_grid_entries(self, tmp_path, grid):
         p = tmp_path / "c.json"
@@ -252,6 +254,27 @@ class TestConfig:
         # an accepted config is one the pipeline can run
         assert set(cfg.feature_sets) <= set(FEATURE_SETS)
         assert expand_grid(cfg.grid)
+
+    def test_size_bounds_are_inclusive(self):
+        assert RunConfig(k=16, grid={"n_trees": [10_000], "min_leaf": [1]}).k == 16
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"k": 10**8}, "k must be an integer in [1, 16], got 100000000"),
+            ({"grid": {"n_trees": [10**9], "min_leaf": [1]}},
+             "grid n_trees entries must be <= 10000, got 1000000000"),
+        ],
+        ids=["k", "n_trees"],
+    )
+    def test_size_bound_is_one_clean_cli_error(self, tmp_path, capsys, raw, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        manifest = write_bare_manifest(tmp_path / "m.csv", [{"patient_id": "a", "os_months": 9, "event": 1}])
+        code = main(["classify", "--manifest", str(manifest), "--features", "f.csv",
+                     "--target", "m1", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: config: {message}\n"
 
     def test_bad_feature_sets_is_a_clean_cli_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -918,21 +941,27 @@ class TestMain:
         assert code == 2
 
     @staticmethod
-    def assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, docs,
-                                 error=MalformedHeader, detail="S00_a.vol.json"):
+    def assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, docs, error=MalformedHeader,
+                                 detail="S00_a.vol.json", memory_limited=False):
         """Extract on a cohort whose S00 sidecars are rewritten to `docs` (file name ->
-        text) skips S00 with `error`, whose message holds `detail`, and no traceback."""
+        text) skips S00 with `error`, whose message holds `detail`, and no traceback.
+        With `memory_limited`, extract runs in a child process under run_memory_limited."""
         cohort = tmp_path / "cohort"
         shutil.copytree(small_cohort.parent, cohort)
         for name, doc in docs.items():
             (cohort / name).write_text(doc)
-        code = main(["extract", "--manifest", str(cohort / small_cohort.name),
-                     "--weights", str(cohort / "weights.bin"), "--out", str(tmp_path / "out")])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert "extracted 4/5" in captured.out
-        assert f"failed S00: {error.__name__}:" in captured.err
-        assert detail in captured.err and "Traceback" not in captured.err
+        argv = ["extract", "--manifest", str(cohort / small_cohort.name),
+                "--weights", str(cohort / "weights.bin"), "--out", str(tmp_path / "out")]
+        if memory_limited:
+            proc = run_memory_limited(f"from deepradiomics.cli import main\nraise SystemExit(main({argv!r}))")
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        else:
+            code = main(argv)
+            out, err = capsys.readouterr()
+        assert code == 2, err[-3000:]
+        assert "extracted 4/5" in out
+        assert f"failed S00: {error.__name__}:" in err
+        assert detail in err and "Traceback" not in err
         ids, _, _ = load_features_csv(tmp_path / "out" / "features.csv")
         assert "S00" not in ids
 
@@ -954,6 +983,15 @@ class TestMain:
                 "S00_mask.vol.json": json.dumps({**header, "dtype": "u8"})}
         self.assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, docs, DegenerateOutput,
                                       "at spacing (1e+308, 1.0, 1.0)")
+
+    def test_spacing_past_the_voxel_cap_skips_patient(self, small_cohort, tmp_path, capsys):
+        # a finite spacing of 1 m sizes a 20000 x 18000 x 16000 grid; without the
+        # voxel cap, the child's address-space limit turns its allocation into a MemoryError
+        header = {"dims": [20, 18, 16], "spacing_mm": [1000, 1000, 1000], "modality": "T1CE"}
+        docs = {"S00_a.vol.json": json.dumps({**header, "dtype": "f32le"}),
+                "S00_mask.vol.json": json.dumps({**header, "dtype": "u8"})}
+        self.assert_sidecar_skips_s00(small_cohort, tmp_path, capsys, docs, DegenerateOutput,
+                                      "more than the cap of 134217728", memory_limited=True)
 
     def test_negative_weights_seed_is_a_clean_error(self, tmp_path, capsys):
         code = main(["gen-weights", "--seed", "-1", "--out", str(tmp_path / "w.bin")])

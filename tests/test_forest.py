@@ -1,6 +1,7 @@
 """Random forest, AUC/confusion metrics and LOOCV hygiene."""
 
 import contextlib
+import math
 import signal
 
 import numpy as np
@@ -120,11 +121,11 @@ class TestRfTrain:
         accuracy = (pred == ds.y[seen].astype(bool)).mean()
         assert accuracy > 0.9
 
-    @pytest.mark.parametrize("min_leaf, mtry", [(1, None), (3, 1)])
-    def test_small_forest_is_prefix_of_large_forest(self, min_leaf, mtry):
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_small_forest_is_prefix_of_large_forest(self, min_leaf):
         ds = blob_dataset(n_per_class=20, seed=8)
-        small = rf_train(ds, RfParams(n_trees=7, min_leaf=min_leaf, mtry=mtry), seed=13)
-        large = rf_train(ds, RfParams(n_trees=20, min_leaf=min_leaf, mtry=mtry), seed=13)
+        small = rf_train(ds, RfParams(n_trees=7, min_leaf=min_leaf), seed=13)
+        large = rf_train(ds, RfParams(n_trees=20, min_leaf=min_leaf), seed=13)
         assert large.trees[:7] == small.trees  # node for node, thresholds included
 
     def test_determinism(self):
@@ -212,7 +213,7 @@ def reference_best_split(X, y, rows, feats, min_leaf):
 @st.composite
 def split_problems(draw):
     n = draw(st.integers(2, 30))
-    d = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 10))  # floor(sqrt(d)) reaches 3
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
@@ -317,7 +318,7 @@ def reference_grow(X, y, rows, rng, min_leaf, mtry):
 
 
 def reference_rf_train(ds, params, seed):
-    mtry = params.resolve_mtry(ds.d)
+    mtry = max(1, math.isqrt(ds.d))
     trees = []
     for t in range(params.n_trees):
         rng = np.random.default_rng(seed + t)
@@ -340,7 +341,6 @@ def forest_problems(draw):
         # past 64 and 128 trees the forest grows in a new block
         n_trees=draw(st.integers(1, 150)),
         min_leaf=draw(st.integers(1, 4)),
-        mtry=draw(st.integers(1, d)),
     )
     return ds, params, draw(st.integers(0, 2**31))
 
@@ -354,7 +354,7 @@ class TestLockstepGrowth:
 
     def test_crosses_block_boundaries(self):
         ds = blob_dataset(n_per_class=15, seed=4)
-        params = RfParams(n_trees=140, min_leaf=2, mtry=1)
+        params = RfParams(n_trees=140, min_leaf=2)
         assert rf_train(ds, params, 21).trees == reference_rf_train(ds, params, 21)
 
 
@@ -540,41 +540,32 @@ class TestLoocv:
         for audit in report.folds:
             assert audit.chosen == RfParams(n_trees=25, min_leaf=2)
 
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            {"n_trees": [4, 9], "min_leaf": [1, 2, 4]},
-            [
-                RfParams(n_trees=nt, min_leaf=ml, mtry=m)
-                for nt in (3, 8, 15)
-                for ml in (1, 2)
-                for m in (1, 3)
-            ],
-            # prefix groups ending below, at and past the 64-tree block
-            [
-                RfParams(n_trees=40, min_leaf=1),
-                RfParams(n_trees=70, min_leaf=1),
-                RfParams(n_trees=130, min_leaf=2, mtry=2),
-                RfParams(n_trees=64, min_leaf=3),
-            ],
-            # each min_leaf under three mtry values; None and 1 both resolve to 1
-            [
-                RfParams(n_trees=nt, min_leaf=ml, mtry=m)
-                for nt, m in ((6, None), (12, 1), (20, 2), (9, 3))
-                for ml in (1, 3)
-            ],
-        ],
-    )
-    def test_matches_brute_force_grid_search(self, grid):
+    @staticmethod
+    def assert_matches_brute_force(grid, width):
         rng = np.random.default_rng(12)
         y = np.array([0, 1] * 7)
-        X = rng.normal(size=(14, 3)) + 0.8 * y[:, None]  # weak signal: grid points disagree
+        X = rng.normal(size=(14, width)) + 0.8 * y[:, None]  # weak signal: grid points disagree
         ds = Dataset(ids=tuple(f"q{i}" for i in range(14)), X=X, y=y)
         report = loocv(ds, grid, seed=3)
         chosen, scores = reference_loocv(ds, grid, seed=3)
         assert [a.chosen for a in report.folds] == chosen
         assert [s for _, s, _ in report.per_patient_scores] == scores
         assert len(set(chosen)) > 1
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"n_trees": [4, 9], "min_leaf": [1, 2, 4]},
+            # forests ending below, at and past the 64-tree block
+            {"n_trees": [5, 64, 130], "min_leaf": [1, 2]},
+        ],
+    )
+    def test_matches_brute_force_grid_search(self, grid):
+        self.assert_matches_brute_force(grid, width=3)
+
+    def test_matches_brute_force_grid_search_on_wider_rows(self):
+        # floor(sqrt(5)) = 2 candidate features per split search
+        self.assert_matches_brute_force({"n_trees": [6, 20], "min_leaf": [1, 3]}, width=5)
 
     def test_each_tree_is_seeded_once_per_fold(self, monkeypatch):
         ds = blob_dataset(n_per_class=6, seed=8)

@@ -122,27 +122,6 @@ class TestEmFit:
         mus = [c.mu for c in fit.components]
         assert mus == sorted(mus)
 
-    def test_label_switching_immunity_k2(self):
-        x = two_gaussians(n=800, seed=4)
-        floor = variance_floor(x)
-        init_a = (np.array([1.0, 8.0]), np.array([2.0, 2.0]), np.array([0.5, 0.5]))
-        init_b = (np.array([8.0, 1.0]), np.array([2.0, 2.0]), np.array([0.5, 0.5]))
-        fa = em_fit(x, 2, init=init_a)
-        fb = em_fit(x, 2, init=init_b)
-        for ca, cb in zip(fa.components, fb.components):
-            assert ca == cb  # bitwise identical after sorting
-
-    def test_label_switching_immunity_k3(self):
-        rng = np.random.default_rng(5)
-        x = np.concatenate([rng.normal(m, 0.5, 200) for m in (-4.0, 0.0, 4.0)])
-        init = (np.array([-4.0, 0.0, 4.0]), np.ones(3), np.full(3, 1 / 3))
-        perm = (init[0][::-1].copy(), init[1].copy(), init[2].copy())
-        fa, fb = em_fit(x, 3, init=init), em_fit(x, 3, init=perm)
-        for ca, cb in zip(fa.components, fb.components):
-            assert ca.mu == pytest.approx(cb.mu, abs=1e-9)
-            assert ca.sigma2 == pytest.approx(cb.sigma2, abs=1e-9)
-            assert ca.omega == pytest.approx(cb.omega, abs=1e-9)
-
     def test_shift_equivariance(self):
         x = two_gaussians(n=2000, seed=6)
         fa = em_fit(x, 2)
@@ -175,7 +154,7 @@ class TestEmFit:
 # row-batched EM against the one-map EM loop it replaced
 # --------------------------------------------------------------------------
 
-def reference_em_fit(x, k, init=None, tol=1e-8, max_iter=500):
+def reference_em_fit(x, k, tol=1e-8, max_iter=500):
     """The per-map EM loop used before row batching, kept as the reference.
 
     Returns (components as (mu, sigma2, omega) tuples, iterations,
@@ -185,21 +164,15 @@ def reference_em_fit(x, k, init=None, tol=1e-8, max_iter=500):
     floor = variance_floor(x)
     n_distinct = len(np.unique(x))
     if n_distinct < k:
-        comps, iterations, converged, trace = reference_em_fit(x, n_distinct, None, tol, max_iter)
+        comps, iterations, converged, trace = reference_em_fit(x, n_distinct, tol, max_iter)
         comps = comps + [(float(x.max()), floor, SURPLUS_WEIGHT)] * (k - n_distinct)
         total = sum(c[2] for c in comps)
         comps = sorted(((m, v, w / total) for m, v, w in comps), key=lambda c: (c[0], -c[2]))
         return comps, iterations, converged, trace
 
-    if init is None:
-        mu = np.quantile(x, (np.arange(k) + 0.5) / k)
-        var = np.full(k, max(float(x.var()), floor))
-        w = np.full(k, 1.0 / k)
-    else:
-        mu = np.asarray(init[0], dtype=np.float64).copy()
-        var = np.maximum(np.asarray(init[1], dtype=np.float64), floor)
-        w = np.asarray(init[2], dtype=np.float64)
-        w = w / w.sum()
+    mu = np.quantile(x, (np.arange(k) + 0.5) / k)
+    var = np.full(k, max(float(x.var()), floor))
+    w = np.full(k, 1.0 / k)
 
     def estep(mu, var, w):
         inv2v = 0.5 / var
@@ -276,21 +249,17 @@ class TestEmFitRows:
         n=st.integers(1, 400),
         k=st.integers(1, 3),
         max_iter=st.sampled_from([0, 1, 2, 7, 40, 500]),
-        with_init=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_batch_equals_one_map_fits_bit_for_bit(self, kinds, n, k, max_iter, with_init, seed):
+    def test_batch_equals_one_map_fits_bit_for_bit(self, kinds, n, k, max_iter, seed):
         rng = np.random.default_rng(seed)
         rows = np.stack([sample_row(rng, kind, n) for kind in kinds])
-        init = None
-        if with_init:
-            init = (rng.normal(0.0, 3.0, k), rng.uniform(0.5, 2.0, k), rng.uniform(0.2, 1.0, k))
-        fits = em_fit_rows(rows, k, init=init, max_iter=max_iter)
+        fits = em_fit_rows(rows, k, max_iter=max_iter)
         assert len(fits) == len(rows)
         for row, fit in zip(rows, fits):
-            ref = reference_em_fit(row, k, init, max_iter=max_iter)
+            ref = reference_em_fit(row, k, max_iter=max_iter)
             assert_same_fit(fit, ref)
-            assert_same_fit(em_fit(row, k, init=init, max_iter=max_iter), ref)
+            assert_same_fit(em_fit(row, k, max_iter=max_iter), ref)
 
     def test_rows_stop_at_their_own_iteration(self):
         rng = np.random.default_rng(3)

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import run_memory_limited
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import label, map_coordinates
@@ -20,6 +21,7 @@ from deepradiomics.errors import (
     ShapeMismatch,
 )
 from deepradiomics.volume import (
+    MAX_VOXELS,
     _iso_grid,
     _trilinear_grid,
     extract_cnn_input,
@@ -290,6 +292,38 @@ class TestResample:
                 dr.resample_isotropic(dr.Volume3D(data=np.zeros(dims), spacing=spacing))
             with pytest.raises(DegenerateOutput, match=named):
                 resample_mask(dr.RoiMask(voxels=np.ones(dims, dtype=np.uint8)), spacing)
+
+    def test_voxel_cap(self):
+        assert MAX_VOXELS == 512**3
+        assert _iso_grid((1024, 512, 512), (0.5, 1.0, 1.0))[0] == (512, 512, 512)
+        over = re.escape("gives (512, 512, 513) voxels, more than the cap of 134217728")
+        with pytest.raises(DegenerateOutput, match=over):
+            _iso_grid((1024, 512, 513), (0.5, 1.0, 1.0))
+
+    def test_grid_past_the_voxel_cap_is_degenerate_not_a_memory_error(self):
+        # 4^3 voxels at 1 m resample to 4000^3, 477 GiB of float64; run where
+        # the address space is capped, so the old code dies with a MemoryError
+        proc = run_memory_limited("""
+            import numpy as np
+            import deepradiomics as dr
+            from deepradiomics.errors import DegenerateOutput
+            from deepradiomics.volume import resample_mask
+            spacing = (1000.0, 1000.0, 1000.0)
+            for resample in (
+                lambda: dr.resample_isotropic(dr.Volume3D(data=np.zeros((4, 4, 4)), spacing=spacing)),
+                lambda: resample_mask(dr.RoiMask(voxels=np.ones((4, 4, 4), dtype=np.uint8)), spacing),
+            ):
+                try:
+                    resample()
+                except DegenerateOutput as e:
+                    print(e)
+        """)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        message = (
+            "resampling (4, 4, 4) at spacing (1000.0, 1000.0, 1000.0) to 1.0 mm gives"
+            " (4000, 4000, 4000) voxels, more than the cap of 134217728"
+        )
+        assert proc.stdout.splitlines() == [message, message]
 
     @settings(max_examples=300, deadline=None)
     @given(
