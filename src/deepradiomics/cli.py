@@ -78,7 +78,7 @@ def main(argv=None) -> int:
             print(f"wrote weights (seed {args.seed}) -> {args.out}")
             return 0
 
-        records = load_manifest(args.manifest, check_files=False)
+        records = load_manifest(args.manifest)
         config = load_config(args.config)
         if args.command == "extract":
             result = cmd_extract(records, args.weights, config, args.out)

@@ -4,12 +4,11 @@ Architecture: 64^3 input -> [conv 2x2x2 stride 1 'same', ReLU, 2x2x2
 max-pool stride 2] twice, giving 10 maps of 32^3 then 10 maps of 16^3.
 Together with the raw input that yields the 21 activation volumes consumed
 by the feature extractor.  Dropout exists only in training and is identity
-here; the trailing fully-connected and softmax weights are carried as
-metadata and never executed.
+here.
 
 Weights file: one binary file whose first line is a JSON header (layer
 shapes, provenance, format version) followed by a raw little-endian
-float32 payload in `_SEGMENTS` order.
+float32 payload holding the `_SHAPES` arrays in that order.
 """
 
 from __future__ import annotations
@@ -43,11 +42,14 @@ CONV1_SHAPE = (N_FILTERS, KERNEL, KERNEL, KERNEL, 1)
 CONV2_SHAPE = (N_FILTERS, KERNEL, KERNEL, KERNEL, N_FILTERS)
 N_MAPS = 1 + 2 * N_FILTERS
 
-# Weights-file segments in payload order.  The first _N_REQUIRED are always
-# present; the fc and softmax (weight, bias) pairs after them are optional,
-# and the header declares an absent one as null.
-_SEGMENTS = ("conv1", "bias1", "conv2", "bias2", "fc_w", "fc_b", "softmax_w", "softmax_b")
-_N_REQUIRED = 4
+# The arrays a weights file holds, in payload order, each with its one valid shape
+_SHAPES = {
+    "conv1": CONV1_SHAPE,
+    "bias1": (N_FILTERS,),
+    "conv2": CONV2_SHAPE,
+    "bias2": (N_FILTERS,),
+}
+_N_FLOATS = sum(math.prod(shape) for shape in _SHAPES.values())  # 900
 
 
 @dataclass(frozen=True)
@@ -58,31 +60,15 @@ class CnnWeights:
     bias1: np.ndarray
     conv2: np.ndarray
     bias2: np.ndarray
-    fc: tuple[np.ndarray, np.ndarray] | None = None
-    softmax: tuple[np.ndarray, np.ndarray] | None = None
     provenance: str = ""
 
     def __post_init__(self):
-        if self.conv1.shape != CONV1_SHAPE or self.bias1.shape != (N_FILTERS,):
-            raise MalformedWeights(
-                f"layer 1 must be {CONV1_SHAPE} + ({N_FILTERS},) bias, "
-                f"got {self.conv1.shape} + {self.bias1.shape}"
-            )
-        if self.conv2.shape != CONV2_SHAPE or self.bias2.shape != (N_FILTERS,):
-            raise MalformedWeights(
-                f"layer 2 must be {CONV2_SHAPE} + ({N_FILTERS},) bias, "
-                f"got {self.conv2.shape} + {self.bias2.shape}"
-            )
-        for arr in self._segments().values():
-            if arr is not None and not np.isfinite(arr).all():
+        for name, shape in _SHAPES.items():
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise MalformedWeights(f"{name} must have shape {shape}, got {arr.shape}")
+            if not np.isfinite(arr).all():
                 raise NonFiniteWeights("weights contain NaN or Inf")
-
-    def _segments(self) -> dict[str, np.ndarray | None]:
-        """Each of _SEGMENTS mapped to its array, or to None for an absent pair."""
-        arrays = [getattr(self, name) for name in _SEGMENTS[:_N_REQUIRED]]
-        for pair in (self.fc, self.softmax):
-            arrays += pair or (None, None)
-        return dict(zip(_SEGMENTS, arrays))
 
 
 @dataclass(frozen=True)
@@ -118,32 +104,20 @@ class ActivationSet:
 # weights I/O
 # --------------------------------------------------------------------------
 
-def _declared_segments(header: dict, p: Path) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of each declared payload segment, in payload order."""
-    segs = []
-    for i, name in enumerate(_SEGMENTS):
-        shape = header.get(name)
-        if shape is None and i >= _N_REQUIRED:
-            continue
-        if not isinstance(shape, list) or not all(is_int_at_least(d, 0) for d in shape):
-            raise MalformedWeights(
-                f"{p}: shape of {name} must be a list of non-negative integers, got {shape!r}"
-            )
-        segs.append((name, tuple(shape)))
-    return segs
-
-
 def save_weights(w: CnnWeights, path) -> None:
-    segs = w._segments()
     header = {"version": WEIGHTS_FORMAT_VERSION, "provenance": w.provenance}
-    header.update((name, None if a is None else list(a.shape)) for name, a in segs.items())
-    blobs = [np.asarray(a, dtype="<f4").tobytes() for a in segs.values() if a is not None]
+    header.update((name, list(shape)) for name, shape in _SHAPES.items())
     head = json.dumps(header, sort_keys=True).encode() + b"\n"
-    write_output(path, head + b"".join(blobs), "weights file")
+    payload = b"".join(np.asarray(getattr(w, name), dtype="<f4").tobytes() for name in _SHAPES)
+    write_output(path, head + payload, "weights file")
 
 
 def load_weights(path) -> CnnWeights:
-    """Load and shape-validate a weights file."""
+    """Load a weights file and check it against the fixed network's shapes.
+
+    Any other header key must be null: files written before the format
+    dropped its fc and softmax entries declare them so, and still load.
+    """
     p = Path(path)
     raw = read_input(p, "weights file", MalformedWeights, WeightsMissing, binary=True)
     nl = raw.find(b"\n")
@@ -152,53 +126,40 @@ def load_weights(path) -> CnnWeights:
     header = json_object(raw[:nl], p, MalformedWeights)
     if header.get("version") != WEIGHTS_FORMAT_VERSION:
         raise MalformedWeights(f"{p}: unsupported format version {header.get('version')!r}")
+    for name, shape in _SHAPES.items():
+        got = header.get(name)
+        if got != list(shape) or not all(is_int_at_least(d, 1) for d in got):
+            raise MalformedWeights(f"{p}: shape of {name} must be {list(shape)}, got {got!r}")
+    known = (*_SHAPES, "version", "provenance")
+    extra = sorted(k for k, v in header.items() if k not in known and v is not None)
+    if extra:
+        raise MalformedWeights(f"{p}: header declares what the network does not hold: {', '.join(extra)}")
 
-    segs = _declared_segments(header, p)
     payload = raw[nl + 1:]
-    expected = sum(math.prod(shape) for _, shape in segs)
-    if len(payload) != 4 * expected:
-        raise MalformedWeights(
-            f"{p}: payload has {len(payload)} bytes, header declares {4 * expected}"
-        )
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in segs:
+    if len(payload) != 4 * _N_FLOATS:
+        raise MalformedWeights(f"{p}: payload has {len(payload)} bytes, expected {4 * _N_FLOATS}")
+    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise NonFiniteWeights(f"{p}: weights contain NaN or Inf")
+    arrays, start = {}, 0
+    for name, shape in _SHAPES.items():
         n = math.prod(shape)
-        try:
-            flat = np.frombuffer(payload, dtype="<f4", count=n, offset=offset)
-            arrays[name] = flat.reshape(shape).astype(np.float64)
-        except ValueError as e:  # an empty segment with a dimension numpy cannot index
-            raise MalformedWeights(f"{p}: shape of {name} {shape!r} is too large: {e}") from e
-        offset += 4 * n
-    for arr in arrays.values():
-        if not np.isfinite(arr).all():
-            raise NonFiniteWeights(f"{p}: weights contain NaN or Inf")
-
-    fc_w, fc_b, softmax_w, softmax_b = (arrays.get(name) for name in _SEGMENTS[_N_REQUIRED:])
-    if (fc_w is None) != (fc_b is None) or (softmax_w is None) != (softmax_b is None):
-        raise MalformedWeights(f"{p}: fc/softmax weight and bias must be declared together")
-    return CnnWeights(
-        **{name: arrays[name] for name in _SEGMENTS[:_N_REQUIRED]},
-        fc=None if fc_w is None else (fc_w, fc_b),
-        softmax=None if softmax_w is None else (softmax_w, softmax_b),
-        provenance=str(header.get("provenance", "")),
-    )
+        arrays[name] = flat[start : start + n].reshape(shape)
+        start += n
+    return CnnWeights(**arrays, provenance=str(header.get("provenance", "")))
 
 
 def generate_test_weights(seed: int) -> CnnWeights:
     """Deterministic stand-in weights, uniform on (-0.5, 0.5).
 
-    Draw order is fixed (conv1, bias1, conv2, bias2 from one PCG64 stream)
-    so a given seed always yields bit-identical weights.
+    Draw order is fixed (the `_SHAPES` arrays in order, from one PCG64
+    stream) so a given seed always yields bit-identical weights.
     """
     if seed < 0:  # numpy would raise a bare ValueError
         raise ManifestInvalid(f"weights seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     return CnnWeights(
-        conv1=rng.uniform(-0.5, 0.5, CONV1_SHAPE),
-        bias1=rng.uniform(-0.5, 0.5, (N_FILTERS,)),
-        conv2=rng.uniform(-0.5, 0.5, CONV2_SHAPE),
-        bias2=rng.uniform(-0.5, 0.5, (N_FILTERS,)),
+        **{name: rng.uniform(-0.5, 0.5, shape) for name, shape in _SHAPES.items()},
         provenance=f"seed:{seed}",
     )
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ManifestInvalid, is_int_at_least, json_object, read_input
-from .volume import volume_exists
 
 MANIFEST_COLUMNS = (
     "patient_id",
@@ -83,8 +82,8 @@ def _parse_float(row, col, problems, lo=None, hi=None):
     return v
 
 
-def load_manifest(path, check_files: bool = True) -> list[PatientRecord]:
-    """Parse and validate a cohort manifest CSV."""
+def load_manifest(path) -> list[PatientRecord]:
+    """Parse and validate a cohort manifest CSV; imaging paths are not opened here."""
     p = Path(path)
     base = p.parent
     problems: list[str] = []
@@ -118,13 +117,6 @@ def load_manifest(path, check_files: bool = True) -> list[PatientRecord]:
             continue
         seen.add(pid)
 
-        volumes = {}
-        for col in MODALITY_COLUMNS + ("mask",):
-            fp = base / row[col]
-            if check_files and not volume_exists(fp):
-                problems.append(f"{pid}: {col} file missing: {fp}")
-            if col != "mask":
-                volumes[col] = fp
         age = _parse_float(row, "age", problems, 0.0, 150.0)
         gender = _parse_float(row, "gender", problems)
         if gender not in (0.0, 1.0):
@@ -142,7 +134,7 @@ def load_manifest(path, check_files: bool = True) -> list[PatientRecord]:
         records.append(
             PatientRecord(
                 patient_id=pid,
-                volumes=volumes,
+                volumes={col: base / row[col] for col in MODALITY_COLUMNS},
                 mask=base / row["mask"],
                 age=age,
                 gender=int(gender),
@@ -212,7 +204,7 @@ def load_config(path=None) -> RunConfig:
         return RunConfig()
     p = Path(path)
     raw = json_object(read_input(p, "config", ManifestInvalid), p, ManifestInvalid)
-    unknown = set(raw) - {"k", "seed", "grid", "modality_reduction", "feature_sets"}
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ManifestInvalid(f"{p}: unknown config keys: {sorted(unknown)}")
     kwargs = dict(raw)

@@ -207,7 +207,7 @@ def load_features_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """
     p = Path(path)
     lines = read_input(p, "features file", ManifestInvalid).splitlines()
-    if not lines or not lines[0].startswith("patient_id"):
+    if not lines or lines[0].split(",")[0] != "patient_id":
         raise ManifestInvalid(f"{p}: not a feature matrix (missing header)")
     names = lines[0].split(",")[1:]
     if not names:

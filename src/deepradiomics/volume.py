@@ -99,12 +99,6 @@ def _sidecar_paths(path) -> tuple[Path, Path]:
     return p.with_name(stem + ".vol.json"), p.with_name(stem + ".vol.raw")
 
 
-def volume_exists(path) -> bool:
-    """True when both sidecar and payload files are present."""
-    side, raw = _sidecar_paths(path)
-    return side.exists() and raw.exists()
-
-
 # sidecar dtype name -> payload dtype
 _DTYPES = {"f32le": np.dtype("<f4"), "u8": np.dtype(np.uint8)}
 

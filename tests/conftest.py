@@ -120,7 +120,7 @@ def write_feature_csv(path: Path, ids, matrix: np.ndarray, k: int = 2) -> Path:
 
 
 def write_bare_manifest(path: Path, rows: list[dict]) -> Path:
-    """Manifest whose imaging paths are never dereferenced (check_files=False)."""
+    """Manifest whose imaging paths are never dereferenced."""
     lines = [MANIFEST_HEADER]
     for r in rows:
         lines.append(

@@ -78,7 +78,12 @@ class TestManifest:
         records = load_manifest(small_cohort)
         assert len(records) == 5
         assert records[0].patient_id == "S00"
-        assert records[0].volumes["t1wi"].exists() or True  # paths resolved
+        base = small_cohort.parent  # paths resolve against the manifest's directory
+        assert records[0].volumes == {
+            "t1wi": base / "S00_a.vol.json", "t1ce": base / "S00_b.vol.json",
+            "t2wi": base / "S00_b.vol.json", "flair": base / "S00_b.vol.json",
+        }
+        assert records[0].mask == base / "S00_mask.vol.json"
 
     def test_duplicate_ids_rejected(self, tmp_path):
         rows = [
@@ -87,14 +92,7 @@ class TestManifest:
         ]
         path = write_bare_manifest(tmp_path / "m.csv", rows)
         with pytest.raises(ManifestInvalid, match="duplicate"):
-            load_manifest(path, check_files=False)
-
-    def test_missing_files_reported(self, tmp_path):
-        path = write_bare_manifest(
-            tmp_path / "m.csv", [{"patient_id": "A", "os_months": 5.0, "event": 1}]
-        )
-        with pytest.raises(ManifestInvalid, match="file missing"):
-            load_manifest(path, check_files=True)
+            load_manifest(path)
 
     @pytest.mark.parametrize(
         "field,value,match",
@@ -110,7 +108,7 @@ class TestManifest:
         row[field] = value
         path = write_bare_manifest(tmp_path / "m.csv", [row])
         with pytest.raises(ManifestInvalid, match=match):
-            load_manifest(path, check_files=False)
+            load_manifest(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         (tmp_path / "m.csv").write_text("patient,columns\nA,1\n")
@@ -328,6 +326,15 @@ class TestUnreadableInputs:
             load(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("first", ["patient_idx", "patient_id2"])
+    def test_features_header_must_open_with_the_patient_id_cell(self, tmp_path, first):
+        path = tmp_path / "features.csv"
+        path.write_text(f"{first},a,b\nP0,1,2\n")
+        with pytest.raises(ManifestInvalid, match="missing header"):
+            load_features_csv(path)
+        path.write_text("patient_id,a,b\nP0,1,2\n")
+        assert load_features_csv(path)[:2] == (["P0"], ["a", "b"])
+
     def test_directory_manifest_is_a_clean_cli_error(self, tmp_path, capsys):
         code = main(["survive", "--manifest", str(tmp_path), "--features", "f.csv",
                      "--out", str(tmp_path / "out")])
@@ -351,7 +358,7 @@ class TestUnreadableInputs:
         path.write_bytes(data.draw(byte_mutations(valid[kind].read_bytes())))
         try:
             if kind == "manifest":
-                load_manifest(path, check_files=data.draw(st.booleans()))
+                load_manifest(path)
             else:
                 load_features_csv(path)
         except RadiomicsError:
@@ -486,7 +493,7 @@ class TestExtract:
         # keep the broken manifest in the cohort dir so relative paths resolve
         broken = manifest.parent / "broken.csv"
         broken.write_text("\n".join(text) + "\n")
-        records = load_manifest(broken, check_files=False)
+        records = load_manifest(broken)
         result = cmd_extract(records, manifest.parent / "weights.bin", cfg, tmp_path)
         assert result.n_ok == 4
         assert result.failures[0][0] == "S00"
@@ -603,7 +610,7 @@ def planted_cohort(tmp_path, n=20, seed=0):
         for i, pid in enumerate(ids)
     ]
     manifest = write_bare_manifest(tmp_path / "manifest.csv", rows)
-    return features, load_manifest(manifest, check_files=False)
+    return features, load_manifest(manifest)
 
 
 class TestClassify:
@@ -649,7 +656,7 @@ class TestClassify:
             {"patient_id": pid, "os_months": 10.0, "event": 1, "neutrophils": 0.4}
             for pid in ids
         ]
-        records = load_manifest(write_bare_manifest(tmp_path / "m.csv", rows), check_files=False)
+        records = load_manifest(write_bare_manifest(tmp_path / "m.csv", rows))
         cfg = RunConfig(grid={"n_trees": [5], "min_leaf": [1]}, feature_sets=("R",))
         with pytest.raises(DegenerateLabels):
             cmd_classify(features, records, "neutrophils", cfg, tmp_path / "out")
@@ -717,7 +724,7 @@ class TestClassify:
             {"patient_id": pid, "os_months": 5.0 + i, "event": 1, "tfh": float(rng.random())}
             for i, pid in enumerate(ids)
         ]
-        records = load_manifest(write_bare_manifest(tmp_path / "m.csv", rows), check_files=False)
+        records = load_manifest(write_bare_manifest(tmp_path / "m.csv", rows))
         cfg = RunConfig(seed=5, grid={"n_trees": [15], "min_leaf": [3]}, feature_sets=("R",))
         reports = cmd_classify(features, records, "tfh", cfg, tmp_path / "out")
         assert 0.2 <= reports["R"].auc <= 0.8
@@ -742,7 +749,7 @@ def survival_cohort(tmp_path, n=24, seed=6):
             {"patient_id": pid, "os_months": round(t, 3), "event": int(rng.random() > 0.15)}
         )
     manifest = write_bare_manifest(tmp_path / "manifest.csv", rows)
-    return features, load_manifest(manifest, check_files=False)
+    return features, load_manifest(manifest)
 
 
 class TestSurvive:
@@ -918,11 +925,10 @@ class TestMain:
         # every weights file already written
         assert target.read_bytes().split(b"\n", 1)[0] == (
             b'{"bias1": [10], "bias2": [10], "conv1": [10, 2, 2, 2, 1], "conv2": [10, 2, 2, 2, 10], '
-            b'"fc_b": null, "fc_w": null, "provenance": "seed:42", "softmax_b": null, '
-            b'"softmax_w": null, "version": 1}'
+            b'"provenance": "seed:42", "version": 1}'
         )
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-            "b3e5794b3ea8d287629060305b489be13e433a091cf4ee2b80fc51cf0bcbc4ea"
+            "47b6f16c69236f449dab2c7357c2da5e4d15124ba3c465ddfe2e7d3e3ff3632d"
         )
         loaded = dr.load_weights(target)
         expected = dr.generate_test_weights(42)
@@ -1011,8 +1017,8 @@ class TestMain:
                 if ".exists(" in line:
                     exists.append(line.strip())
         assert not found
-        # no read is preceded by an exists() check; check_files asks volume_exists alone
-        assert exists == ["return side.exists() and raw.exists()"]
+        # no read is preceded by an exists() check: a missing file fails at its read
+        assert exists == []
 
     def test_no_module_imports_scipy(self):
         # scipy is a test oracle only; pyproject.toml lists numpy alone at run time

@@ -1,5 +1,6 @@
 """Convolution engine against brute-force oracles; weights I/O; forward pass."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -252,33 +253,32 @@ class TestWeights:
                 bias2=np.zeros(10),
             )
 
-    @pytest.mark.parametrize(
-        "fc,softmax",
-        [(False, False), (True, False), (False, True), (True, True)],
-        ids=["none", "fc", "softmax", "fc+softmax"],
-    )
-    def test_fc_segments_roundtrip(self, tmp_path, fc, softmax):
-        w = dr.generate_test_weights(3)
-        rng = np.random.default_rng(0)
-        saved = CnnWeights(
-            conv1=w.conv1,
-            bias1=w.bias1,
-            conv2=w.conv2,
-            bias2=w.bias2,
-            fc=(rng.random((8, 16)), rng.random(8)) if fc else None,
-            softmax=(rng.random((2, 8)), rng.random(2)) if softmax else None,
-            provenance="seed:3+fc",
+    def test_legacy_header_with_null_fc_softmax_loads(self, tmp_path):
+        # the header as files written before fc/softmax left the format spell it
+        legacy = (
+            b'{"bias1": [10], "bias2": [10], "conv1": [10, 2, 2, 2, 1], "conv2": [10, 2, 2, 2, 10], '
+            b'"fc_b": null, "fc_w": null, "provenance": "seed:42", "softmax_b": null, '
+            b'"softmax_w": null, "version": 1}\n'
         )
-        save_weights(saved, tmp_path / "w.bin")
-        loaded = load_weights(tmp_path / "w.bin")
-        assert loaded.provenance == "seed:3+fc"
+        save_weights(dr.generate_test_weights(42), tmp_path / "w.bin")
+        payload = (tmp_path / "w.bin").read_bytes().split(b"\n", 1)[1]
+        (tmp_path / "legacy.bin").write_bytes(legacy + payload)
+        assert hashlib.sha256(legacy + payload).hexdigest() == (
+            "b3e5794b3ea8d287629060305b489be13e433a091cf4ee2b80fc51cf0bcbc4ea"
+        )
+        old, new = load_weights(tmp_path / "legacy.bin"), load_weights(tmp_path / "w.bin")
+        assert old.provenance == new.provenance == "seed:42"
         for name in ("conv1", "bias1", "conv2", "bias2"):
-            np.testing.assert_array_equal(getattr(loaded, name), getattr(saved, name).astype(np.float32))
-        for name in ("fc", "softmax"):
-            pair, expected = getattr(loaded, name), getattr(saved, name)
-            assert (pair is None) == (expected is None)
-            for got, want in zip(pair or (), expected or ()):
-                np.testing.assert_array_equal(got, want.astype(np.float32))
+            np.testing.assert_array_equal(getattr(old, name), getattr(new, name))
+
+    def test_declared_fc_segment_rejected(self, tmp_path):
+        save_weights(dr.generate_test_weights(3), tmp_path / "w.bin")
+        head, payload = (tmp_path / "w.bin").read_bytes().split(b"\n", 1)
+        header = {**json.loads(head), "fc_w": [8, 16], "fc_b": [8], "softmax_w": None}
+        fc = np.random.default_rng(0).random(8 * 16 + 8).astype("<f4").tobytes()
+        (tmp_path / "w.bin").write_bytes(json.dumps(header).encode() + b"\n" + payload + fc)
+        with pytest.raises(MalformedWeights, match="does not hold: fc_b, fc_w$"):
+            load_weights(tmp_path / "w.bin")
 
 
 # --------------------------------------------------------------------------
