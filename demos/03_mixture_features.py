@@ -44,5 +44,5 @@ for name, value in zip(names[:6], fv.values[:6]):
     print(f"  {name} = {value:.4f}")
 
 # -- four MRI sequences reduce to one vector ----------------------------------
-merged = dr.reduce_modalities([fv, fv, fv, fv], mode="mean")
+merged = dr.reduce_modalities([fv, fv, fv, fv])
 print(f"\nmean reduction of four identical sequences keeps {len(merged)} features")

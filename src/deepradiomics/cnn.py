@@ -3,8 +3,7 @@
 Architecture: 64^3 input -> [conv 2x2x2 stride 1 'same', ReLU, 2x2x2
 max-pool stride 2] twice, giving 10 maps of 32^3 then 10 maps of 16^3.
 Together with the raw input that yields the 21 activation volumes consumed
-by the feature extractor.  Dropout exists only in training and is identity
-here.
+by the feature extractor.
 
 Weights file: one binary file whose first line is a JSON header (layer
 shapes, provenance, format version) followed by a raw little-endian
@@ -64,7 +63,11 @@ class CnnWeights:
 
     def __post_init__(self):
         for name, shape in _SHAPES.items():
-            arr = getattr(self, name)
+            try:
+                arr = np.asarray(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError) as e:
+                raise MalformedWeights(f"{name} is not a float array: {e}") from e
+            object.__setattr__(self, name, arr)
             if arr.shape != shape:
                 raise MalformedWeights(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.isfinite(arr).all():

@@ -9,7 +9,10 @@ mu_k, var_k, w_k] with components sorted by ascending mean, giving a
 The fit is fully deterministic: initial means sit at the (j-0.5)/k sample
 quantiles, initial variances equal the sample variance and weights are
 uniform.  Responsibilities are accumulated with numpy's pairwise
-summation, so identical samples give identical fits everywhere.
+summation, so identical samples give identical fits on every run and at
+every thread count.  The E-step's matrix product goes through OpenBLAS,
+so the bytes match across machines only under its FMA kernels (Haswell
+or newer); a Sandybridge kernel gives other last bits.
 """
 
 from __future__ import annotations
@@ -257,30 +260,20 @@ def build_feature_vector(acts: ActivationSet, k: int = 2) -> FeatureVector:
     )
 
 
-def feature_names(k: int = 2, prefix: str = "") -> list[str]:
+def feature_names(k: int = 2) -> list[str]:
     """CSV column names: f<map>_mu1, f<map>_s1, f<map>_w1, f<map>_mu2, ..."""
     names = []
     for m in range(N_MAPS):
         for j in range(1, k + 1):
-            names += [f"{prefix}f{m:03d}_mu{j}", f"{prefix}f{m:03d}_s{j}", f"{prefix}f{m:03d}_w{j}"]
+            names += [f"f{m:03d}_mu{j}", f"f{m:03d}_s{j}", f"f{m:03d}_w{j}"]
     return names
 
 
-def reduce_modalities(vectors: list[FeatureVector], mode: str = "mean") -> FeatureVector:
-    """Collapse per-modality vectors into one.
-
-    'mean' averages elementwise and keeps the per-modality length; 'concat'
-    stacks them end to end (column names then carry modality tags).
-    """
+def reduce_modalities(vectors: list[FeatureVector]) -> FeatureVector:
+    """Collapse per-modality vectors into one by elementwise mean."""
     if not vectors:
         raise LengthMismatch("no feature vectors to reduce")
     length = len(vectors[0])
     if any(len(v) != length for v in vectors):
         raise LengthMismatch(f"feature vectors differ in length: {[len(v) for v in vectors]}")
-    if mode == "mean":
-        values = np.mean([v.values for v in vectors], axis=0)
-    elif mode == "concat":
-        values = np.concatenate([v.values for v in vectors])
-    else:
-        raise ValueError(f"mode must be 'mean' or 'concat', got {mode!r}")
-    return FeatureVector(values=values)
+    return FeatureVector(values=np.mean([v.values for v in vectors], axis=0))

@@ -162,7 +162,6 @@ class RunConfig:
     grid: dict = field(
         default_factory=lambda: {"n_trees": [100, 300, 500], "min_leaf": [1, 3, 5]}
     )
-    modality_reduction: str = "mean"
     feature_sets: tuple[str, ...] = FEATURE_SETS
 
     def __post_init__(self):
@@ -170,10 +169,9 @@ class RunConfig:
             raise ManifestInvalid(f"config: k must be an integer in [1, {MAX_K}], got {self.k!r}")
         if not is_int_at_least(self.seed, 0):
             raise ManifestInvalid(f"config: seed must be an integer >= 0, got {self.seed!r}")
-        if self.modality_reduction not in ("mean", "concat"):
-            raise ManifestInvalid(
-                f"config: modality_reduction must be 'mean' or 'concat', got {self.modality_reduction!r}"
-            )
+        if not isinstance(self.feature_sets, (list, tuple)):  # each entry is checked below
+            raise ManifestInvalid(f"config: feature_sets must be a list of strings, got {self.feature_sets!r}")
+        self.feature_sets = tuple(self.feature_sets)
         if not self.feature_sets:
             raise ManifestInvalid("config: feature_sets must be nonempty")
         for fs in self.feature_sets:
@@ -207,10 +205,4 @@ def load_config(path=None) -> RunConfig:
     unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ManifestInvalid(f"{p}: unknown config keys: {sorted(unknown)}")
-    kwargs = dict(raw)
-    if "feature_sets" in raw:
-        sets = raw["feature_sets"]
-        if not isinstance(sets, list) or not all(isinstance(fs, str) for fs in sets):
-            raise ManifestInvalid(f"{p}: feature_sets must be a list of strings, got {sets!r}")
-        kwargs["feature_sets"] = tuple(sets)
-    return RunConfig(**kwargs)
+    return RunConfig(**raw)

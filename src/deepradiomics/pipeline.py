@@ -136,16 +136,7 @@ def patient_features(
             if cache[key].nonconverged:
                 nonconverged.append((col, cache[key].nonconverged))
         vectors.append(cache[key])
-    return gmm.reduce_modalities(vectors, mode=config.modality_reduction), nonconverged
-
-
-def feature_header(config: RunConfig) -> list[str]:
-    if config.modality_reduction == "concat":
-        names = []
-        for col in MODALITY_COLUMNS:
-            names += gmm.feature_names(config.k, prefix=f"{col}_")
-        return names
-    return gmm.feature_names(config.k)
+    return gmm.reduce_modalities(vectors), nonconverged
 
 
 @dataclass(frozen=True)
@@ -191,7 +182,7 @@ def cmd_extract(records, weights_path, config: RunConfig, out_dir) -> ExtractRes
             rows.append([record.patient_id] + [float(v) for v in fv.values])
 
     features_path = out / "features.csv"
-    write_csv(features_path, ["patient_id"] + feature_header(config), rows)
+    write_csv(features_path, ["patient_id"] + gmm.feature_names(config.k), rows)
     return ExtractResult(
         features_path=features_path, n_ok=len(rows), failures=tuple(failures)
     )

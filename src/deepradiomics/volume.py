@@ -50,6 +50,7 @@ class Volume3D:
     modality: str = "DERIVED"
 
     def __post_init__(self):
+        object.__setattr__(self, "data", np.asarray(self.data))
         if self.data.ndim != 3 or min(self.data.shape) < 1:
             raise ShapeMismatch(f"volume data must be 3D, got shape {self.data.shape}")
         if len(self.spacing) != 3 or not all(
@@ -73,6 +74,7 @@ class RoiMask:
     voxels: np.ndarray  # uint8, values in {0, 1}
 
     def __post_init__(self):
+        object.__setattr__(self, "voxels", np.asarray(self.voxels))
         if self.voxels.ndim != 3:
             raise ShapeMismatch(f"mask must be 3D, got shape {self.voxels.shape}")
         bad = (self.voxels != 0) & (self.voxels != 1)

@@ -155,7 +155,6 @@ def config_documents(draw):
             "k": st.integers(1, 3),
             "seed": st.integers(0, 3),
             "grid": st.just(grid),
-            "modality_reduction": st.sampled_from(["mean", "concat"]),
             "feature_sets": st.lists(st.sampled_from(FEATURE_SETS), min_size=1, max_size=3),
         }
     )
@@ -166,7 +165,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = load_config(None)
         assert cfg.k == 2
-        assert cfg.modality_reduction == "mean"
         assert cfg.feature_sets == FEATURE_SETS
         assert cfg.grid["n_trees"] == [100, 300, 500]
 
@@ -199,6 +197,7 @@ class TestConfig:
             {"feature_sets": "R"},
             {"feature_sets": ["R", 5]},
             {"feature_sets": {"R": 1}},
+            {"modality_reduction": "mean"},
         ],
     )
     def test_invalid_configs(self, tmp_path, raw):
@@ -253,6 +252,16 @@ class TestConfig:
         assert set(cfg.feature_sets) <= set(FEATURE_SETS)
         assert expand_grid(cfg.grid)
 
+    @pytest.mark.parametrize("sets", [5, "R", None])
+    def test_run_config_checks_feature_sets(self, sets):
+        with pytest.raises(ManifestInvalid, match="feature_sets must be a list of strings"):
+            RunConfig(feature_sets=sets)
+
+    def test_run_config_holds_feature_sets_as_a_tuple(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"feature_sets": ["R"]}))
+        assert RunConfig(feature_sets=["R"]) == load_config(p) == RunConfig(feature_sets=("R",))
+
     def test_size_bounds_are_inclusive(self):
         assert RunConfig(k=16, grid={"n_trees": [10_000], "min_leaf": [1]}).k == 16
 
@@ -283,6 +292,15 @@ class TestConfig:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "feature_sets" in err and err.count("\n") == 1
+
+    def test_modality_reduction_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"modality_reduction": "mean"}))
+        manifest = write_bare_manifest(tmp_path / "m.csv", [{"patient_id": "a", "os_months": 9, "event": 1}])
+        code = main(["classify", "--manifest", str(manifest), "--features", "f.csv",
+                     "--target", "m1", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config keys: ['modality_reduction']\n"
 
 
 # --------------------------------------------------------------------------
@@ -556,31 +574,6 @@ class TestExtract:
         assert result.n_ok == 5 and s01_done.is_set()
         logged = [rec.getMessage().split(":")[0] for rec in caplog.records]
         assert logged == [f"S{i:02d} {col}" for i in range(5) for col in ("t1wi", "t1ce")]
-
-    def test_concat_reduction_end_to_end(self, tmp_path):
-        manifest = build_texture_cohort(
-            tmp_path / "cohort", n=6, seed=29, dims=(24, 26, 20), distinct_modalities=True
-        )
-        records = load_manifest(manifest)
-        mean_cfg = RunConfig(seed=3, grid={"n_trees": [25], "min_leaf": [1]}, feature_sets=("R",))
-        concat_cfg = dataclasses.replace(mean_cfg, modality_reduction="concat")
-        weights = manifest.parent / "weights.bin"
-        mean = cmd_extract(records, weights, mean_cfg, tmp_path / "mean")
-        concat = cmd_extract(records, weights, concat_cfg, tmp_path / "concat")
-        assert mean.n_ok == concat.n_ok == 6
-
-        ids, names, matrix = load_features_csv(concat.features_path)
-        mean_ids, mean_names, mean_matrix = load_features_csv(mean.features_path)
-        assert ids == mean_ids
-        assert len(names) == 4 * 126 == 4 * len(mean_names)
-        assert (names[0], names[126], names[-1]) == ("t1wi_f000_mu1", "t1ce_f000_mu1", "flair_f020_w2")
-        # the mean of a row's four modality blocks, reduced as extract reduces it, is the
-        # mean run's row bit for bit
-        blocks = matrix.reshape(6, 4, 126)
-        np.testing.assert_array_equal([np.mean(b, axis=0) for b in blocks], mean_matrix)
-
-        reports = cmd_classify(concat.features_path, records, "m1", concat_cfg, tmp_path / "concat")
-        assert [pid for pid, _, _ in reports["R"].per_patient_scores] == ids
 
 
 # --------------------------------------------------------------------------

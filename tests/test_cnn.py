@@ -253,6 +253,13 @@ class TestWeights:
                 bias2=np.zeros(10),
             )
 
+    def test_arrays_become_float64_or_malformed(self):
+        w = dr.generate_test_weights(2)
+        ints = CnnWeights(conv1=np.ones(CONV1_SHAPE, int), bias1=w.bias1, conv2=w.conv2, bias2=w.bias2)
+        assert ints.conv1.dtype == np.float64
+        with pytest.raises(MalformedWeights, match="conv1"):
+            CnnWeights(conv1=np.full(CONV1_SHAPE, "a"), bias1=w.bias1, conv2=w.conv2, bias2=w.bias2)
+
     def test_legacy_header_with_null_fc_softmax_loads(self, tmp_path):
         # the header as files written before fc/softmax left the format spell it
         legacy = (
@@ -279,6 +286,24 @@ class TestWeights:
         (tmp_path / "w.bin").write_bytes(json.dumps(header).encode() + b"\n" + payload + fc)
         with pytest.raises(MalformedWeights, match="does not hold: fc_b, fc_w$"):
             load_weights(tmp_path / "w.bin")
+
+
+_NESTED_WEIGHTS = {n: getattr(dr.generate_test_weights(4), n).tolist() for n in ("conv1", "bias1", "conv2", "bias2")}
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, field",
+    [
+        (CnnWeights, _NESTED_WEIGHTS, "conv1"),
+        (dr.Volume3D, {"data": [[[1.0, 2.0]]], "spacing": (1.0, 1.0, 1.0)}, "data"),
+        (dr.RoiMask, {"voxels": [[[1, 0]]]}, "voxels"),
+    ],
+    ids=["weights", "volume", "mask"],
+)
+def test_nested_lists_are_held_as_arrays(cls, kwargs, field):
+    held = getattr(cls(**kwargs), field)
+    assert isinstance(held, np.ndarray)
+    np.testing.assert_array_equal(held, kwargs[field])
 
 
 # --------------------------------------------------------------------------

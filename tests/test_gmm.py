@@ -343,26 +343,20 @@ class TestFeatureVector:
 class TestReduceModalities:
     def test_single_vector_mean_is_identity(self):
         v = dr.FeatureVector(values=np.arange(6.0))
-        out = dr.reduce_modalities([v], mode="mean")
+        out = dr.reduce_modalities([v])
         np.testing.assert_array_equal(out.values, v.values)
 
     def test_identical_vectors_mean(self):
         v = dr.FeatureVector(values=np.arange(6.0))
-        out = dr.reduce_modalities([v, v], mode="mean")
+        out = dr.reduce_modalities([v, v])
         np.testing.assert_array_equal(out.values, v.values)
 
     def test_opposite_vectors_cancel(self):
         v = np.linspace(-3, 3, 12)
         out = dr.reduce_modalities(
-            [dr.FeatureVector(values=v), dr.FeatureVector(values=-v)], mode="mean"
+            [dr.FeatureVector(values=v), dr.FeatureVector(values=-v)]
         )
         np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
-
-    def test_concat(self):
-        a = dr.FeatureVector(values=np.ones(4))
-        b = dr.FeatureVector(values=np.zeros(4))
-        out = dr.reduce_modalities([a, b], mode="concat")
-        assert len(out) == 8
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -2,10 +2,13 @@
 
 The rule: a hash in GOLDEN may change only in a change whose CHANGES.md
 entry names the file and says why its bytes changed.  The package runs on
-numpy alone, so of its dependencies only a numpy upgrade can move an output
-hash; the test cohort's textures come from scipy's gaussian_filter, so a
-scipy upgrade can move them only through the inputs.  Either is a finding
-to report, not a reason to re-pin.  Never re-pin silently.
+numpy alone, so of its dependencies a numpy upgrade can move an output
+hash, and so can the OpenBLAS kernel numpy's matrix products run on: the
+table holds under the FMA kernels (Haswell or newer), and under
+OPENBLAS_CORETYPE=Sandybridge out/features.csv differs.  The test cohort's
+textures come from scipy's gaussian_filter, so a scipy upgrade can move
+them only through the inputs.  Each is a finding to report, not a reason
+to re-pin.  Never re-pin silently.
 """
 
 import hashlib
