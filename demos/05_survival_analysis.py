@@ -38,7 +38,9 @@ long_e = (rng.random(30) > 0.2).astype(int)
 res = dr.logrank_test(short_t, short_e, long_t, long_e)
 print(f"\nlog-rank: chi2={res.chi2:.2f}  p={res.p_value:.2e}")
 print(f"hazard ratio {res.hazard_ratio:.2f}  (95% CI {res.ci95[0]:.2f} - {res.ci95[1]:.2f})")
-print(f"group medians: short={res.group_medians[0]:.1f}, long={res.group_medians[1]:.1f}")
+short_median = dr.km_estimate(short_t, short_e).median_survival
+long_median = dr.km_estimate(long_t, long_e).median_survival
+print(f"group medians (Kaplan-Meier): short={short_median:.1f}, long={long_median:.1f}")
 
 # identical groups are indistinguishable by construction
 same = dr.logrank_test(short_t, short_e, short_t, short_e)

@@ -395,13 +395,14 @@ def _grid_search(data: Dataset, train_idx, val_idx, points, fold_seed: int) -> R
     after another, share one seeded set of generators, bootstrap rows and
     draw lists: each grid tree is seeded and bootstrapped once, and each
     of its feature subsets is drawn once, however many min_leaf values
-    replay it.  A single-class validation set scores every point 0.5, so
-    then no grid tree is grown and the tie-break alone chooses.
+    replay it.  A one-point grid needs no search, and a single-class
+    validation set scores every point 0.5; either way no grid tree is
+    grown and the tie-break alone chooses.
     """
-    train_ds = data.subset(train_idx)
     y_val = data.y[val_idx]
     val_auc = dict.fromkeys(points, 0.5)
-    if len(np.unique(y_val)) == 2:
+    if len(points) > 1 and len(np.unique(y_val)) == 2:
+        train_ds = data.subset(train_idx)
         n_grid = max(p.n_trees for p in points)
         seeded = _seed_trees(train_ds.n, range(fold_seed, fold_seed + n_grid))
         for min_leaf in sorted({p.min_leaf for p in points}):
@@ -426,7 +427,8 @@ def loocv(data: Dataset, grid: dict, seed: int) -> EvalReport:
     computed in any order.  Each fold's grid search (_grid_search) seeds
     and bootstraps each grid tree once and draws each of its feature
     subsets once, for all the grid's forests; it grows no tree when the
-    fold's validation rows hold a single class.
+    grid has one point or the fold's validation rows hold a single class,
+    so then the fold grows only its refit forest.
     """
     if data.n < 3:
         raise TooFewRows(f"LOOCV needs at least 3 rows, got {data.n}")
@@ -442,10 +444,7 @@ def loocv(data: Dataset, grid: dict, seed: int) -> EvalReport:
         rng = np.random.default_rng(fold_seed)
         train_idx, val_idx = _stratified_split(data.y, rest, rng)
 
-        if len(points) == 1:
-            chosen = points[0]
-        else:
-            chosen = _grid_search(data, train_idx, val_idx, points, fold_seed)
+        chosen = _grid_search(data, train_idx, val_idx, points, fold_seed)
         final = rf_train(data.subset(rest), chosen, fold_seed)
         scores[i] = rf_predict(final, data.X[i])
         audits.append(

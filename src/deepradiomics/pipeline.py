@@ -157,12 +157,8 @@ def cmd_extract(records, weights_path, config: RunConfig, out_dir) -> ExtractRes
         except (RadiomicsError, ValueError) as e:
             return None, [], f"{type(e).__name__}: {e}"
 
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, records))
-    else:
-        results = [one(r) for r in records]
+    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
+        results = list(pool.map(one, records))
 
     rows = []
     failures = []
@@ -336,7 +332,8 @@ def cmd_survive(features_path, records, config: RunConfig, out_dir) -> list[Surv
 
     Runs the survival-target LOOCV (writing the same reports cmd_classify
     would), splits patients into predicted short/long groups at
-    DECISION_THRESHOLD, and compares the groups' observed survival.
+    DECISION_THRESHOLD, and compares the groups' observed survival.  One
+    Kaplan-Meier curve per group gives its median, its CSV and its plot.
     """
     out = _output_dir(out_dir)
     reports = cmd_classify(features_path, records, "survival", config, out)
@@ -356,33 +353,30 @@ def cmd_survive(features_path, records, config: RunConfig, out_dir) -> list[Surv
             row = SurvivalRow(fs, None, None, None, math.nan, math.nan, None, report.auc)
         else:
             short = ~predicted_long
-            result = logrank_test(
-                times[short], events[short], times[predicted_long], events[predicted_long]
-            )
+            groups = {"short": short, "long": predicted_long}
+            curves = {name: km_estimate(times[g], events[g]) for name, g in groups.items()}
+            result = logrank_test(times[short], events[short], times[~short], events[~short])
             chi2 = result.chi2
+            medians = (curves["short"].median_survival, curves["long"].median_survival)
             row = SurvivalRow(
-                fs, *result.group_medians, result.hazard_ratio, *result.ci95, result.p_value, report.auc
+                fs, *medians, result.hazard_ratio, *result.ci95, result.p_value, report.auc
             )
-            curves = []
-            for name, group in (("short", short), ("long", predicted_long)):
-                steps = km_estimate(times[group], events[group]).steps
+            for name, curve in curves.items():
                 header = ["time", "at_risk", "deaths", "survival"]
-                write_csv(out / f"km_{name}_{fs}.csv", header, map(astuple, steps))
-                curves.append((f"predicted {name}", list(steps)))
-            svg = km_svg(curves, f"Predicted survival groups ({fs})")
+                write_csv(out / f"km_{name}_{fs}.csv", header, map(astuple, curve.steps))
+            plotted = [(f"predicted {name}", list(curve.steps)) for name, curve in curves.items()]
+            svg = km_svg(plotted, f"Predicted survival groups ({fs})")
             write_output(out / f"km_{fs}.svg", svg, "SVG plot")
-        write_json(
-            out / f"logrank_{fs}.json",
-            {
-                "chi2": _jsonable(chi2),
-                "p": _jsonable(row.p_value),
-                "hr": _jsonable(row.hazard_ratio),
-                "ci_low": _jsonable(row.ci_low),
-                "ci_high": _jsonable(row.ci_high),
-                "median_short": _jsonable(row.median_short),
-                "median_long": _jsonable(row.median_long),
-            },
-        )
+        payload = {
+            "chi2": chi2,
+            "p": row.p_value,
+            "hr": row.hazard_ratio,
+            "ci_low": row.ci_low,
+            "ci_high": row.ci_high,
+            "median_short": row.median_short,
+            "median_long": row.median_long,
+        }
+        write_json(out / f"logrank_{fs}.json", {k: _jsonable(v) for k, v in payload.items()})
         table.append(row)
 
     def cell(v):

@@ -37,14 +37,14 @@ class SurvivalTestResult:
 
     `hazard_ratio` is None when either group's expected event count is
     zero, and 0 or inf when one group saw no events; the log-normal CI is
-    only defined for a finite positive ratio.
+    only defined for a finite positive ratio.  A group's median survival
+    is not part of the test; it comes from the group's km_estimate curve.
     """
 
     chi2: float
     p_value: float
     hazard_ratio: float | None
     ci95: tuple[float, float]
-    group_medians: tuple[float | None, float | None]
     observed: tuple[float, float]
     expected: tuple[float, float]
 
@@ -122,6 +122,7 @@ def logrank_test(a_times, a_events, b_times, b_events) -> SurvivalTestResult:
     with their expectation under the null; chi2 pools these over time.
     The hazard ratio is the ratio of O/E rates between groups with a
     log-normal 95% interval exp(ln HR +/- 1.96*sqrt(1/E_A + 1/E_B)).
+    The test builds no Kaplan-Meier curve.
     """
     ta, ea = _as_time_event(a_times, a_events)
     tb, eb = _as_time_event(b_times, b_events)
@@ -166,16 +167,11 @@ def logrank_test(a_times, a_events, b_times, b_events) -> SurvivalTestResult:
         half = 1.96 * math.sqrt(1.0 / e_a + 1.0 / e_b)
         ci = (hr * math.exp(-half), hr * math.exp(half))
 
-    medians = (
-        km_estimate(ta, ea).median_survival,
-        km_estimate(tb, eb).median_survival,
-    )
     return SurvivalTestResult(
         chi2=chi2,
         p_value=p,
         hazard_ratio=hr,
         ci95=ci,
-        group_medians=medians,
         observed=(o_a, o_b),
         expected=(e_a, e_b),
     )

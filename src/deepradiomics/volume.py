@@ -38,6 +38,17 @@ MAX_VOXELS = 2**27  # largest resampled grid, 1 GiB of float64
 CNN_INPUT_SIZE = 64
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """`value` as an array of real numbers in its own dtype, else MalformedHeader."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as e:  # a ragged nested list, say
+        raise MalformedHeader(f"{name} is not an array: {e}") from e
+    if arr.dtype.kind not in "biuf":
+        raise MalformedHeader(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr
+
+
 @dataclass(frozen=True)
 class Volume3D:
     """A scalar 3D grid with voxel spacing in millimetres.
@@ -50,12 +61,11 @@ class Volume3D:
     modality: str = "DERIVED"
 
     def __post_init__(self):
-        object.__setattr__(self, "data", np.asarray(self.data))
+        object.__setattr__(self, "data", _real_array(self.data, "volume data"))
         if self.data.ndim != 3 or min(self.data.shape) < 1:
             raise ShapeMismatch(f"volume data must be 3D, got shape {self.data.shape}")
-        if len(self.spacing) != 3 or not all(
-            math.isfinite(s) and s > 0 for s in self.spacing
-        ):
+        spacing = _real_array(self.spacing, "spacing")
+        if spacing.shape != (3,) or not (np.isfinite(spacing) & (spacing > 0)).all():
             raise MalformedHeader(f"spacing must be positive and finite, got {self.spacing}")
         if self.modality not in MODALITIES:
             raise MalformedHeader(f"unknown modality {self.modality!r}")
@@ -74,7 +84,7 @@ class RoiMask:
     voxels: np.ndarray  # uint8, values in {0, 1}
 
     def __post_init__(self):
-        object.__setattr__(self, "voxels", np.asarray(self.voxels))
+        object.__setattr__(self, "voxels", _real_array(self.voxels, "mask voxels"))
         if self.voxels.ndim != 3:
             raise ShapeMismatch(f"mask must be 3D, got shape {self.voxels.shape}")
         bad = (self.voxels != 0) & (self.voxels != 1)

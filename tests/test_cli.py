@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deepradiomics as dr
-from deepradiomics import gmm, pipeline
+from deepradiomics import gmm, pipeline, survival
 from deepradiomics.cli import main
 from deepradiomics.errors import (
     BadMapIndex,
@@ -37,7 +37,7 @@ from deepradiomics.errors import (
     UnknownPatient,
     WeightsMissing,
 )
-from deepradiomics.forest import expand_grid
+from deepradiomics.forest import DECISION_THRESHOLD, expand_grid
 from deepradiomics.manifest import FEATURE_SETS, RunConfig, load_config, load_manifest
 from deepradiomics.pipeline import (
     SurvivalRow,
@@ -769,6 +769,41 @@ class TestSurvive:
         payload = json.loads((out / "logrank_R.json").read_text())
         assert payload["p"] == row.p_value
         assert payload["hr"] is not None and payload["hr"] > 1.0
+
+    def test_logrank_json_medians_are_each_groups_km_median(self, tmp_path):
+        features, records = survival_cohort(tmp_path)
+        cfg = RunConfig(seed=7, grid={"n_trees": [25], "min_leaf": [1]}, feature_sets=("R",))
+        out = tmp_path / "out"
+        cmd_survive(features, records, cfg, out)
+        by_id = {r.patient_id: r for r in records}
+        scores = json.loads((out / "report_survival_R.json").read_text())["scores"]
+        payload = json.loads((out / "logrank_R.json").read_text())
+        for name, predicted_long in (("short", False), ("long", True)):
+            group = [by_id[pid] for pid, s, _ in scores if (s >= DECISION_THRESHOLD) == predicted_long]
+            curve = dr.km_estimate([r.os_months for r in group], [r.event for r in group])
+            assert curve.median_survival is not None
+            assert payload[f"median_{name}"] == curve.median_survival
+
+    @pytest.mark.parametrize(
+        "score, calls", [(None, 2), (0.75, 0)], ids=["two-groups", "one-group"]
+    )
+    def test_each_group_curve_is_built_once(self, tmp_path, monkeypatch, score, calls):
+        features, records = survival_cohort(tmp_path, seed=8)
+        if score is not None:
+            self.pin_scores(monkeypatch, lambda y: score)
+        sizes = []
+        km_estimate = survival.km_estimate
+
+        def counting_km_estimate(times, events):
+            sizes.append(len(times))
+            return km_estimate(times, events)
+
+        # logrank_test's own calls would land in the survival module's name
+        monkeypatch.setattr(pipeline, "km_estimate", counting_km_estimate)
+        monkeypatch.setattr(survival, "km_estimate", counting_km_estimate)
+        cfg = RunConfig(seed=8, grid={"n_trees": [10], "min_leaf": [2]}, feature_sets=("R",))
+        cmd_survive(features, records, cfg, tmp_path / "out")
+        assert len(sizes) == calls and sum(sizes) == (len(records) if calls else 0)
 
     def test_emitted_csvs_roundtrip(self, tmp_path):
         features, records = survival_cohort(tmp_path, seed=8)

@@ -650,6 +650,20 @@ class TestLoocv:
             single.append(one_class)
         assert single == [True, True] + [False] * 8
 
+    def test_one_point_grid_grows_only_the_refit_forests(self, monkeypatch):
+        ds = blob_dataset(n_per_class=6, seed=8)  # every fold validates on both classes
+        trained = []
+
+        def recording_rf_train(train, params, seed, **kwargs):
+            trained.append((train.n, params))
+            return rf_train(train, params, seed, **kwargs)
+
+        monkeypatch.setattr(forest, "rf_train", recording_rf_train)
+        report = loocv(ds, {"n_trees": [7], "min_leaf": [2]}, seed=4)
+        assert trained == [(ds.n - 1, RfParams(n_trees=7, min_leaf=2))] * ds.n
+        labels = dict(zip(ds.ids, ds.y))
+        assert all({labels[v] for v in a.val_ids} == {0, 1} for a in report.folds)
+
     def test_determinism(self):
         ds = blob_dataset(n_per_class=12, seed=6)
         a = loocv(ds, {"n_trees": [10], "min_leaf": [1]}, seed=5)

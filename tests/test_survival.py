@@ -170,10 +170,6 @@ class TestLogRank:
         with pytest.raises(NoEvents):
             logrank_test([1.0], [0], [2.0], [0])
 
-    def test_medians_reported_per_group(self):
-        res = logrank_test([1.0, 2.0, 3.0], [1, 1, 1], [30.0, 40.0, 50.0], [1, 1, 1])
-        assert res.group_medians == (2.0, 40.0)
-
 
 class TestChiSquareTail:
     def test_at_zero(self):

@@ -241,6 +241,24 @@ class TestVolumeIO:
         with pytest.raises(MalformedHeader):
             dr.load_mask(tmp_path / "m.vol.json")
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: dr.Volume3D(data=np.full((1, 1, 1), "a"), spacing=(1, 1, 1)), "volume data"),
+            (lambda: dr.Volume3D(data=[[[1.0], [1.0, 0.0]]], spacing=(1, 1, 1)), "volume data"),
+            (lambda: dr.RoiMask(voxels=[[[1], [1, 0]]]), "mask voxels"),
+            (lambda: dr.Volume3D(data=np.ones((1, 1, 1)), spacing=("a", 1, 1)), "spacing"),
+            (lambda: dr.Volume3D(data=np.ones((1, 1, 1)), spacing=5), "spacing"),
+            (lambda: dr.Volume3D(data=np.ones((1, 1, 1)), spacing=(10**400, 1, 1)), "spacing"),
+        ],
+        ids=[
+            "string-data", "ragged-data", "ragged-mask", "string-spacing", "scalar-spacing", "huge-int-spacing"
+        ],
+    )
+    def test_malformed_fields_are_malformed_header(self, build, field):
+        with pytest.raises(MalformedHeader, match=f"^{field} "):
+            build()
+
 
 # --------------------------------------------------------------------------
 # resampling
