@@ -240,16 +240,19 @@ def rf_train(train: Dataset, params: RfParams, seed: int, *, _seeded=None) -> Rf
     Each split search draws floor(sqrt(d)) candidate features.  Tree t
     draws its bootstrap rows and per-node feature subsets from a generator
     seeded with `seed + t` alone, so the first k trees of a forest are
-    exactly the forest grown with `n_trees=k` and the same seed.
+    exactly the forest grown with `n_trees=k` and the same seed, and the
+    forest of b - a trees grown with seed `seed + a` is exactly trees
+    a..b-1 of the forest of b trees.
     Each tree is seeded and bootstrapped by _seed_trees, unless `_seeded`
     hands over such a (generators, bootstrap rows, draw lists) triple for
     at least n_trees trees, each generator having drawn nothing since its
     bootstrap rows but the feature subsets in its draw list.  A tree takes
     its i-th split search's features from its list and draws only past
-    the list's end, so the forests of a fold's grid search share one
-    triple and each subset is drawn once.  The trees grow in lockstep, in
-    blocks of _BLOCK, with one batched split search per depth-first step;
-    each tree is exactly the tree grown alone.
+    the list's end, so the min_leaf forests of one segment of a fold's
+    grid search share one triple and each subset is drawn once.  The
+    trees grow in lockstep, in blocks of _BLOCK, with one batched split
+    search per depth-first step; each tree is exactly the tree grown
+    alone.
     """
     if train.n == 0:
         raise EmptyTraining("training set is empty")
@@ -389,33 +392,50 @@ def _stratified_split(y, rest, rng):
 def _grid_search(data: Dataset, train_idx, val_idx, points, fold_seed: int) -> RfParams:
     """The grid point with the best validation AUC for one LOOCV fold.
 
-    Every min_leaf of the grid pairs with the grid's largest n_trees, so
-    one forest of that size per min_leaf scores all the grid's points
-    through its prefixes (see rf_train).  The forests, grown one min_leaf
-    after another, share one seeded set of generators, bootstrap rows and
-    draw lists: each grid tree is seeded and bootstrapped once, and each
-    of its feature subsets is drawn once, however many min_leaf values
-    replay it.  A one-point grid needs no search, and a single-class
-    validation set scores every point 0.5; either way no grid tree is
-    grown and the tie-break alone chooses.
+    Ties go to the smaller forest, then to the larger min_leaf, so the
+    points are scored in that order: n_trees ascending, then min_leaf
+    descending.  The first point that reaches the best AUC wins, and the
+    search stops at the first AUC of 1, which no later point can beat.
+    A one-point grid needs no search, and a single-class validation set
+    scores every point 0.5; either way no grid tree is grown and the
+    first point in that order is chosen.
+
+    The grid's trees grow in segments [a, b), from 0 to the smallest grid
+    n_trees and then between consecutive grid n_trees values.  Tree t is
+    seeded with fold_seed + t alone (see rf_train), so segment [a, b) at
+    min_leaf m is exactly trees a..b-1 of every min_leaf m forest of b or
+    more trees.  A segment's min_leaf forests share one seeded set of
+    generators, bootstrap rows and draw lists: each grid tree is seeded
+    and bootstrapped once, and each of its feature subsets is drawn once,
+    however many min_leaf values replay it; one segment's set is alive at
+    a time.  Each min_leaf keeps the running sum of its trees' validation
+    votes (the grid is a product, so every min_leaf has a point at every
+    n_trees); votes are 0, 0.5 or 1, so that sum over n_trees is exactly
+    rf_predict of the n_trees forest.
     """
+    order = sorted(set(points), key=lambda p: (p.n_trees, -p.min_leaf))
     y_val = data.y[val_idx]
-    val_auc = dict.fromkeys(points, 0.5)
-    if len(points) > 1 and len(np.unique(y_val)) == 2:
-        train_ds = data.subset(train_idx)
-        n_grid = max(p.n_trees for p in points)
-        seeded = _seed_trees(train_ds.n, range(fold_seed, fold_seed + n_grid))
-        for min_leaf in sorted({p.min_leaf for p in points}):
-            model = rf_train(train_ds, RfParams(n_grid, min_leaf), fold_seed, _seeded=seeded)
-            # votes are 0, 0.5 or 1, so the sum of the first n_trees rows
-            # over n_trees is exactly rf_predict of the n_trees forest
-            votes = np.array([[tree_vote(t, data.X[v]) for v in val_idx] for t in model.trees])
-            for p in points:
-                if p.min_leaf == min_leaf:
-                    val_auc[p] = compute_auc(votes[: p.n_trees].sum(axis=0) / p.n_trees, y_val)
-    # best AUC, then the smallest forest, then the largest leaves;
-    # remaining ties go to the first point in grid order
-    return min(points, key=lambda p: (-val_auc[p], p.n_trees, -p.min_leaf))
+    if len(order) == 1 or len(np.unique(y_val)) < 2:
+        return order[0]
+    train_ds = data.subset(train_idx)
+    vote_sums = dict.fromkeys({p.min_leaf for p in order}, 0.0)
+    best, best_auc, start, stop = order[0], -1.0, 0, 0
+    for p in order:
+        if p.n_trees > stop:  # the next segment: free the last one's generators, seed its own
+            seeded = None
+            start, stop = stop, p.n_trees
+            seeded = _seed_trees(train_ds.n, range(fold_seed + start, fold_seed + stop))
+        segment = RfParams(stop - start, p.min_leaf)
+        model = rf_train(train_ds, segment, fold_seed + start, _seeded=seeded)
+        vote_sums[p.min_leaf] += np.array(
+            [[tree_vote(t, data.X[v]) for v in val_idx] for t in model.trees]
+        ).sum(axis=0)
+        auc = compute_auc(vote_sums[p.min_leaf] / p.n_trees, y_val)
+        if auc > best_auc:
+            best, best_auc = p, auc
+        if best_auc == 1.0:
+            break
+    return best
 
 
 def loocv(data: Dataset, grid: dict, seed: int) -> EvalReport:
@@ -424,11 +444,13 @@ def loocv(data: Dataset, grid: dict, seed: int) -> EvalReport:
 
     The held-out row never touches tree growth or hyperparameter selection
     for its own fold; per-fold seeds are seed + fold*10007 so folds can be
-    computed in any order.  Each fold's grid search (_grid_search) seeds
-    and bootstraps each grid tree once and draws each of its feature
-    subsets once, for all the grid's forests; it grows no tree when the
-    grid has one point or the fold's validation rows hold a single class,
-    so then the fold grows only its refit forest.
+    computed in any order.  Each fold's grid search (_grid_search) scores
+    the grid's points in tie-break order and stops at the first
+    validation AUC of 1, growing no tree past that point; it seeds and
+    bootstraps each tree it grows once and draws each of its feature
+    subsets once, for all the grid's min_leaf forests.  It grows no tree
+    when the grid has one point or the fold's validation rows hold a
+    single class, so then the fold grows only its refit forest.
     """
     if data.n < 3:
         raise TooFewRows(f"LOOCV needs at least 3 rows, got {data.n}")

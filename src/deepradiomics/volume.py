@@ -65,7 +65,12 @@ class Volume3D:
         if self.data.ndim != 3 or min(self.data.shape) < 1:
             raise ShapeMismatch(f"volume data must be 3D, got shape {self.data.shape}")
         spacing = _real_array(self.spacing, "spacing")
-        if spacing.shape != (3,) or not (np.isfinite(spacing) & (spacing > 0)).all():
+        # np.asarray((True, 1, 1)) is an int array, so bools are found element by element
+        if (
+            spacing.shape != (3,)
+            or any(isinstance(s, (bool, np.bool_)) for s in self.spacing)
+            or not (np.isfinite(spacing) & (spacing > 0)).all()
+        ):
             raise MalformedHeader(f"spacing must be positive and finite, got {self.spacing}")
         if self.modality not in MODALITIES:
             raise MalformedHeader(f"unknown modality {self.modality!r}")

@@ -492,25 +492,62 @@ class TestConfusion:
         assert tprs == sorted(tprs)
 
 
+def weak_signal_dataset(width):
+    """14 rows with a weak class signal: grid points disagree, and some folds score AUC 1."""
+    rng = np.random.default_rng(12)
+    y = np.array([0, 1] * 7)
+    X = rng.normal(size=(14, width)) + 0.8 * y[:, None]
+    return Dataset(ids=tuple(f"q{i}" for i in range(14)), X=X, y=y)
+
+
+def reference_fold(data, i, seed):
+    """Fold i's seed, refit rows and inner (train, validation) split."""
+    fold_seed = seed + i * 10007
+    rest = np.array([j for j in range(data.n) if j != i])
+    train_idx, val_idx = _stratified_split(data.y, rest, np.random.default_rng(fold_seed))
+    return fold_seed, rest, train_idx, val_idx
+
+
+def reference_val_aucs(data, train_idx, val_idx, points, fold_seed):
+    """Each point's validation AUC, from a forest trained for that point alone."""
+    y_val = data.y[val_idx]
+    aucs = []
+    for p in points:
+        model = rf_train(data.subset(train_idx), p, fold_seed)
+        val_scores = [rf_predict(model, data.X[v]) for v in val_idx]
+        aucs.append(compute_auc(val_scores, y_val) if len(np.unique(y_val)) == 2 else 0.5)
+    return aucs
+
+
 def reference_loocv(data, grid, seed):
     """LOOCV that trains every grid point separately: (chosen params, scores)."""
     points = expand_grid(grid)
     chosen, scores = [], []
     for i in range(data.n):
-        fold_seed = seed + i * 10007
-        rest = np.array([j for j in range(data.n) if j != i])
-        train_idx, val_idx = _stratified_split(data.y, rest, np.random.default_rng(fold_seed))
-        y_val = data.y[val_idx]
-        ranked = []
-        for p in points:
-            model = rf_train(data.subset(train_idx), p, fold_seed)
-            val_scores = [rf_predict(model, data.X[v]) for v in val_idx]
-            auc = compute_auc(val_scores, y_val) if len(np.unique(y_val)) == 2 else 0.5
-            ranked.append((-auc, p.n_trees, -p.min_leaf))
+        fold_seed, rest, train_idx, val_idx = reference_fold(data, i, seed)
+        aucs = reference_val_aucs(data, train_idx, val_idx, points, fold_seed)
+        ranked = [(-auc, p.n_trees, -p.min_leaf) for p, auc in zip(points, aucs)]
         best = points[ranked.index(min(ranked))]
         chosen.append(best)
         scores.append(rf_predict(rf_train(data.subset(rest), best, fold_seed), data.X[i]))
     return chosen, scores
+
+
+def reference_stops(data, grid, seed):
+    """Per fold, the point where an early-stopping search stops, scoring the
+    points in tie-break order: the first with validation AUC 1, else the
+    last (every point scored); None when the validation rows hold one
+    class, so that no point needs scoring."""
+    points = sorted(expand_grid(grid), key=lambda p: (p.n_trees, -p.min_leaf))
+    stops = []
+    for i in range(data.n):
+        fold_seed, _, train_idx, val_idx = reference_fold(data, i, seed)
+        if len(np.unique(data.y[val_idx])) < 2:
+            stops.append(None)
+            continue
+        aucs = reference_val_aucs(data, train_idx, val_idx, points, fold_seed)
+        stops.append(next((p for p, auc in zip(points, aucs) if auc == 1.0), points[-1]))
+    return stops
 
 
 class TestLoocv:
@@ -540,12 +577,29 @@ class TestLoocv:
         for audit in report.folds:
             assert audit.chosen == RfParams(n_trees=25, min_leaf=2)
 
+    def test_separable_grows_one_grid_forest_per_fold(self, monkeypatch):
+        # the first point in tie-break order scores AUC 1, so the search stops there
+        ds = separable_1d(16)
+        trained = []
+
+        def recording_rf_train(train, params, seed, **kwargs):
+            trained.append((train.n, params, seed))
+            return rf_train(train, params, seed, **kwargs)
+
+        monkeypatch.setattr(forest, "rf_train", recording_rf_train)
+        report = loocv(ds, {"n_trees": [25, 50], "min_leaf": [1, 2]}, seed=2)
+        expected = []
+        for i, audit in enumerate(report.folds):
+            fold_seed = 2 + i * 10007
+            expected += [
+                (len(audit.train_ids), RfParams(n_trees=25, min_leaf=2), fold_seed),
+                (len(audit.refit_ids), RfParams(n_trees=25, min_leaf=2), fold_seed),
+            ]
+        assert trained == expected
+
     @staticmethod
     def assert_matches_brute_force(grid, width):
-        rng = np.random.default_rng(12)
-        y = np.array([0, 1] * 7)
-        X = rng.normal(size=(14, width)) + 0.8 * y[:, None]  # weak signal: grid points disagree
-        ds = Dataset(ids=tuple(f"q{i}" for i in range(14)), X=X, y=y)
+        ds = weak_signal_dataset(width)
         report = loocv(ds, grid, seed=3)
         chosen, scores = reference_loocv(ds, grid, seed=3)
         assert [a.chosen for a in report.folds] == chosen
@@ -567,8 +621,19 @@ class TestLoocv:
         # floor(sqrt(5)) = 2 candidate features per split search
         self.assert_matches_brute_force({"n_trees": [6, 20], "min_leaf": [1, 3]}, width=5)
 
+    def test_repeated_grid_values_name_the_same_points(self):
+        self.assert_matches_brute_force({"n_trees": [5, 20, 5, 60], "min_leaf": [1, 3, 1]}, width=5)
+
+    def test_matches_brute_force_when_a_middle_segment_stops(self):
+        grid = {"n_trees": [5, 20, 60], "min_leaf": [1, 3]}
+        self.assert_matches_brute_force(grid, width=3)
+        stops = reference_stops(weak_signal_dataset(3), grid, seed=3)
+        # some fold's first AUC of 1 is at 20 trees, so it grows none of the last segment
+        assert any(p.n_trees == 20 for p in stops)
+
     def test_each_tree_is_seeded_once_per_fold(self, monkeypatch):
-        ds = blob_dataset(n_per_class=6, seed=8)
+        ds = weak_signal_dataset(3)
+        grid = {"n_trees": [20, 70], "min_leaf": [1, 2, 3]}
         seeds = []
         default_rng = np.random.default_rng
 
@@ -577,15 +642,19 @@ class TestLoocv:
             return default_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        report = loocv(ds, {"n_trees": [20, 70], "min_leaf": [1, 2, 3]}, seed=4)
+        report = loocv(ds, grid, seed=4)
         monkeypatch.undo()
-        # per fold: the stratified split, each of the grid's 70 trees, then the refit's trees
+        stops = reference_stops(ds, grid, seed=4)
+        # per fold: the stratified split, each grid tree up to the point where
+        # the search stops, then the refit's trees
         expected = []
-        for i, audit in enumerate(report.folds):
+        for i, (audit, stop) in enumerate(zip(report.folds, stops)):
             fold_seed = 4 + i * 10007
-            expected += [fold_seed, *range(fold_seed, fold_seed + 70)]
+            expected += [fold_seed, *range(fold_seed, fold_seed + stop.n_trees)]
             expected += range(fold_seed, fold_seed + audit.chosen.n_trees)
         assert seeds == expected
+        assert any(stop.n_trees == 20 for stop in stops)  # a fold that stops early
+        assert RfParams(n_trees=70, min_leaf=1) in stops  # a fold that scores every point
 
     def test_grid_draws_each_feature_subset_once(self, monkeypatch):
         rng = np.random.default_rng(14)

@@ -250,9 +250,12 @@ class TestVolumeIO:
             (lambda: dr.Volume3D(data=np.ones((1, 1, 1)), spacing=("a", 1, 1)), "spacing"),
             (lambda: dr.Volume3D(data=np.ones((1, 1, 1)), spacing=5), "spacing"),
             (lambda: dr.Volume3D(data=np.ones((1, 1, 1)), spacing=(10**400, 1, 1)), "spacing"),
+            (lambda: dr.Volume3D(data=np.ones((1, 1, 1)), spacing=(True, 1, 1)), "spacing"),
+            (lambda: dr.Volume3D(data=np.ones((1, 1, 1)), spacing=np.ones(3, dtype=bool)), "spacing"),
         ],
         ids=[
-            "string-data", "ragged-data", "ragged-mask", "string-spacing", "scalar-spacing", "huge-int-spacing"
+            "string-data", "ragged-data", "ragged-mask", "string-spacing", "scalar-spacing", "huge-int-spacing",
+            "bool-spacing", "bool-array-spacing",
         ],
     )
     def test_malformed_fields_are_malformed_header(self, build, field):
