@@ -389,7 +389,7 @@ def _stratified_split(y, rest, rng):
     return np.array(train, dtype=np.int64), np.array(sorted(val_set), dtype=np.int64)
 
 
-def _grid_search(data: Dataset, train_idx, val_idx, points, fold_seed: int) -> RfParams:
+def _grid_search(train: Dataset, val: Dataset, points, fold_seed: int) -> RfParams:
     """The grid point with the best validation AUC for one LOOCV fold.
 
     Ties go to the smaller forest, then to the larger min_leaf, so the
@@ -414,23 +414,21 @@ def _grid_search(data: Dataset, train_idx, val_idx, points, fold_seed: int) -> R
     rf_predict of the n_trees forest.
     """
     order = sorted(set(points), key=lambda p: (p.n_trees, -p.min_leaf))
-    y_val = data.y[val_idx]
-    if len(order) == 1 or len(np.unique(y_val)) < 2:
+    if len(order) == 1 or len(np.unique(val.y)) < 2:
         return order[0]
-    train_ds = data.subset(train_idx)
     vote_sums = dict.fromkeys({p.min_leaf for p in order}, 0.0)
     best, best_auc, start, stop = order[0], -1.0, 0, 0
     for p in order:
         if p.n_trees > stop:  # the next segment: free the last one's generators, seed its own
             seeded = None
             start, stop = stop, p.n_trees
-            seeded = _seed_trees(train_ds.n, range(fold_seed + start, fold_seed + stop))
+            seeded = _seed_trees(train.n, range(fold_seed + start, fold_seed + stop))
         segment = RfParams(stop - start, p.min_leaf)
-        model = rf_train(train_ds, segment, fold_seed + start, _seeded=seeded)
+        model = rf_train(train, segment, fold_seed + start, _seeded=seeded)
         vote_sums[p.min_leaf] += np.array(
-            [[tree_vote(t, data.X[v]) for v in val_idx] for t in model.trees]
+            [[tree_vote(t, row) for row in val.X] for t in model.trees]
         ).sum(axis=0)
-        auc = compute_auc(vote_sums[p.min_leaf] / p.n_trees, y_val)
+        auc = compute_auc(vote_sums[p.min_leaf] / p.n_trees, val.y)
         if auc > best_auc:
             best, best_auc = p, auc
         if best_auc == 1.0:
@@ -438,55 +436,50 @@ def _grid_search(data: Dataset, train_idx, val_idx, points, fold_seed: int) -> R
     return best
 
 
+# Fold i's trees are seeded fold_seed + t for t < n_trees, so no two folds
+# share a tree seed as long as manifest.MAX_TREES is at most the stride.
+_FOLD_SEED_STRIDE = 10007
+
+
+def _fold(data: Dataset, points, seed: int, i: int) -> tuple[float, FoldAudit]:
+    """Fold i of LOOCV: (row i's held-out score, the fold's audit).  Its split,
+    grid search and refit see only the other rows; of row i it reads only
+    data.X[i], to score it.  It depends on its arguments alone."""
+    fold_seed = seed + i * _FOLD_SEED_STRIDE
+    rest = np.delete(np.arange(data.n), i)
+    train_idx, val_idx = _stratified_split(data.y, rest, np.random.default_rng(fold_seed))
+    train, val, refit = data.subset(train_idx), data.subset(val_idx), data.subset(rest)
+    chosen = _grid_search(train, val, points, fold_seed)
+    score = rf_predict(rf_train(refit, chosen, fold_seed), data.X[i])
+    return score, FoldAudit(data.ids[i], train.ids, val.ids, refit.ids, chosen)
+
+
 def loocv(data: Dataset, grid: dict, seed: int) -> EvalReport:
     """Leave-one-out evaluation with an inner 80/20 search of the
     {'n_trees': [...], 'min_leaf': [...]} grid per fold.
 
     The held-out row never touches tree growth or hyperparameter selection
-    for its own fold; per-fold seeds are seed + fold*10007 so folds can be
-    computed in any order.  Each fold's grid search (_grid_search) scores
-    the grid's points in tie-break order and stops at the first
-    validation AUC of 1, growing no tree past that point; it seeds and
-    bootstraps each tree it grows once and draws each of its feature
-    subsets once, for all the grid's min_leaf forests.  It grows no tree
-    when the grid has one point or the fold's validation rows hold a
-    single class, so then the fold grows only its refit forest.
+    for its own fold; fold i (_fold) is seeded seed + i * _FOLD_SEED_STRIDE
+    so folds can be computed in any order.  Each fold's grid search
+    (_grid_search) scores the grid's points in tie-break order and stops
+    at the first validation AUC of 1, growing no tree past that point; it
+    seeds and bootstraps each tree it grows once and draws each of its
+    feature subsets once, for all the grid's min_leaf forests.  It grows
+    no tree when the grid has one point or the fold's validation rows
+    hold a single class, so then the fold grows only its refit forest.
     """
     if data.n < 3:
         raise TooFewRows(f"LOOCV needs at least 3 rows, got {data.n}")
     if len(np.unique(data.y)) < 2:
         raise SingleClass("LOOCV needs both classes")
     points = expand_grid(grid)
-
-    scores = np.empty(data.n, dtype=np.float64)
-    audits = []
-    for i in range(data.n):
-        fold_seed = seed + i * 10007
-        rest = np.array([j for j in range(data.n) if j != i], dtype=np.int64)
-        rng = np.random.default_rng(fold_seed)
-        train_idx, val_idx = _stratified_split(data.y, rest, rng)
-
-        chosen = _grid_search(data, train_idx, val_idx, points, fold_seed)
-        final = rf_train(data.subset(rest), chosen, fold_seed)
-        scores[i] = rf_predict(final, data.X[i])
-        audits.append(
-            FoldAudit(
-                held_out_id=data.ids[i],
-                train_ids=tuple(data.ids[j] for j in train_idx),
-                val_ids=tuple(data.ids[j] for j in val_idx),
-                refit_ids=tuple(data.ids[j] for j in rest),
-                chosen=chosen,
-            )
-        )
-
+    scores, audits = zip(*(_fold(data, points, seed, i) for i in range(data.n)))
     confusion = confusion_matrix(scores, data.y)
     accuracy = float((confusion[0, 0] + confusion[1, 1]) / data.n)
     return EvalReport(
         auc=compute_auc(scores, data.y),
         accuracy=accuracy,
         confusion=confusion,
-        per_patient_scores=tuple(
-            (data.ids[i], float(scores[i]), int(data.y[i])) for i in range(data.n)
-        ),
-        folds=tuple(audits),
+        per_patient_scores=tuple((p, s, int(y)) for p, s, y in zip(data.ids, scores, data.y)),
+        folds=audits,
     )

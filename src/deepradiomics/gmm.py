@@ -10,9 +10,11 @@ The fit is fully deterministic: initial means sit at the (j-0.5)/k sample
 quantiles, initial variances equal the sample variance and weights are
 uniform.  Responsibilities are accumulated with numpy's pairwise
 summation, so identical samples give identical fits on every run and at
-every thread count.  The E-step's matrix product goes through OpenBLAS,
-so the bytes match across machines only under its FMA kernels (Haswell
-or newer); a Sandybridge kernel gives other last bits.
+every thread count.  Across machines the bytes also need the same CPU
+kernels: an FMA OpenBLAS kernel (Haswell or newer) for the E-step's
+matrix product, where a Sandybridge kernel gives other last bits, and
+numpy's AVX-512 float64 exp and log (dispatch group X86_V4), which
+round some values unlike its other code paths.
 """
 
 from __future__ import annotations

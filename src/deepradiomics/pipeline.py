@@ -263,7 +263,11 @@ def _aligned_records(ids, records) -> list[PatientRecord]:
 def classify_feature_sets(
     features_path, records, target: str, config: RunConfig
 ) -> dict[str, EvalReport]:
-    """LOOCV per configured feature set; returns reports keyed by set name."""
+    """LOOCV per configured feature set; returns reports keyed by set name.
+
+    Labels are the target's median split over the whole cohort, held-out
+    patient included, and impute_censored uses every patient; for a marker
+    target, every I-containing set still holds the target's own column."""
     if target not in TARGETS:
         raise MissingColumn(f"unknown target {target!r}; valid: {', '.join(TARGETS)}")
     ids, _, radiomic = load_features_csv(features_path)

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import pickle
 import signal
 
 import numpy as np
@@ -25,7 +26,9 @@ from deepradiomics.forest import (
     RfModel,
     RfParams,
     TreeNode,
+    _FOLD_SEED_STRIDE,
     _best_split,
+    _fold,
     _grid_search,
     _stratified_split,
     compute_auc,
@@ -37,6 +40,7 @@ from deepradiomics.forest import (
     roc_points,
     tree_vote,
 )
+from deepradiomics.manifest import MAX_TREES
 
 
 def blob_dataset(n_per_class=100, seed=0):
@@ -674,10 +678,10 @@ class TestLoocv:
 
         monkeypatch.setattr(forest, "_seed_trees", counting_seed_trees)
         points = expand_grid({"n_trees": [10, 30], "min_leaf": [1, 2, 4]})
-        _grid_search(ds, train_idx, val_idx, points, 5)
+        train = ds.subset(train_idx)
+        _grid_search(train, ds.subset(val_idx), points, 5)
         monkeypatch.undo()
         # split searches of tree t grown alone at each min_leaf
-        train = ds.subset(train_idx)
         searches = []
         for t in range(30):
             per_leaf = []
@@ -753,3 +757,58 @@ class TestLoocv:
         assert points[0] == RfParams(n_trees=100, min_leaf=1)
         assert points[-1] == RfParams(n_trees=300, min_leaf=5)
         assert len(points) == 4
+
+
+@st.composite
+def fold_problems(draw):
+    """A small dataset with tied cells and at least two rows of each class,
+    and other one-decimal values for every row."""
+    n = draw(st.integers(6, 12))
+    d = draw(st.integers(1, 3))
+    labels = st.lists(st.integers(0, 1), min_size=n - 4, max_size=n - 4)
+    y = draw(st.permutations([0, 0, 1, 1] + draw(labels)))
+    cells = st.lists(st.integers(-20, 20).map(lambda k: k / 10), min_size=n * d, max_size=n * d)
+    X, other = (np.array(draw(cells)).reshape(n, d) for _ in range(2))
+    ds = Dataset(ids=tuple(f"h{j}" for j in range(n)), X=X, y=np.array(y))
+    return ds, other, draw(st.integers(0, 2**31))
+
+
+FOLD_GRID = {"n_trees": [3, 6], "min_leaf": [1, 2]}
+
+
+class TestFoldTask:
+    @settings(max_examples=40, deadline=None)
+    @given(fold_problems())
+    def test_held_out_row_never_reaches_its_fold(self, problem):
+        ds, other, seed = problem
+        points = expand_grid(FOLD_GRID)
+        for i in range(ds.n):
+            score, audit = _fold(ds, points, seed, i)
+            flipped = ds.y.copy()
+            flipped[i] = 1 - flipped[i]
+            assert _fold(Dataset(ds.ids, ds.X, flipped), points, seed, i) == (score, audit)
+            moved = ds.X.copy()
+            moved[i] = other[i]
+            moved_score, moved_audit = _fold(Dataset(ds.ids, moved, ds.y), points, seed, i)
+            assert moved_audit.chosen == audit.chosen
+            rest = [j for j in range(ds.n) if j != i]
+            refit = rf_train(ds.subset(rest), audit.chosen, seed + i * 10007)
+            assert moved_score == rf_predict(refit, other[i])
+
+    def test_folds_run_in_any_order(self):
+        ds = weak_signal_dataset(3)
+        report = loocv(ds, FOLD_GRID, seed=7)
+        points = expand_grid(FOLD_GRID)
+        backwards = [_fold(ds, points, 7, i) for i in reversed(range(ds.n))]
+        scores, audits = zip(*reversed(backwards))
+        assert [s for _, s, _ in report.per_patient_scores] == list(scores)
+        assert report.folds == audits
+
+    def test_fold_task_survives_pickling(self):
+        task = (_fold, weak_signal_dataset(3), expand_grid(FOLD_GRID), 7, 5)
+        fn, *args = pickle.loads(pickle.dumps(task))
+        assert fn(*args) == _fold(*task[1:])
+
+    def test_fold_seeds_never_share_a_tree_seed(self):
+        # fold i seeds its trees fold_seed + t for t < n_trees <= MAX_TREES
+        assert MAX_TREES <= _FOLD_SEED_STRIDE

@@ -3,9 +3,13 @@
 The rule: a hash in GOLDEN may change only in a change whose CHANGES.md
 entry names the file and says why its bytes changed.  The package runs on
 numpy alone, so of its dependencies a numpy upgrade can move an output
-hash, and so can the OpenBLAS kernel numpy's matrix products run on: the
-table holds under the FMA kernels (Haswell or newer), and under
-OPENBLAS_CORETYPE=Sandybridge out/features.csv differs.  The test cohort's
+hash, and so can the CPU, in two ways.  The OpenBLAS kernel numpy's
+matrix products run on: the table holds under the FMA kernels (Haswell or
+newer), and under OPENBLAS_CORETYPE=Sandybridge out/features.csv differs.
+And numpy's dispatch of float64 exp and log: the table holds where numpy
+runs its AVX-512 code (dispatch group X86_V4), and under
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", or on a CPU
+without AVX-512, out/features.csv differs.  The test cohort's
 textures come from scipy's gaussian_filter, so a scipy upgrade can move
 them only through the inputs.  Each is a finding to report, not a reason
 to re-pin.  Never re-pin silently.
@@ -45,6 +49,15 @@ GOLDEN = {
 }
 
 
+def numpy_dispatch() -> str:
+    """numpy's version and its X86_V4 (AVX-512) dispatch flag on this host."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy 1.x keeps it elsewhere; the flag then reads unknown
+        features = {}
+    return f"numpy {np.__version__}, X86_V4 {features.get('X86_V4', 'unknown')}"
+
+
 def test_outputs_match_golden_hashes(tmp_path):
     manifest = build_texture_cohort(
         tmp_path, n=5, seed=23, dims=(24, 26, 20), distinct_modalities=True
@@ -74,4 +87,4 @@ def test_outputs_match_golden_hashes(tmp_path):
         for d in ("out", "ulp") for p in sorted((tmp_path / d).iterdir())
     }
     changed = sorted(name for name in GOLDEN.keys() | got.keys() if got.get(name) != GOLDEN.get(name))
-    assert not changed, f"output bytes differ from the golden table: {changed}"
+    assert not changed, f"output bytes differ from the golden table: {changed} ({numpy_dispatch()})"
