@@ -60,8 +60,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class RfParams:
-    n_trees: int = 300
-    min_leaf: int = 1
+    n_trees: int
+    min_leaf: int
 
     def __post_init__(self):
         if self.n_trees < 1 or self.min_leaf < 1:
@@ -111,30 +111,33 @@ class EvalReport:
 # tree growth
 # --------------------------------------------------------------------------
 
-def _gini(n1, n):
-    p1 = n1 / n
-    return 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
+def _best_split(X, y, nodes, feats, min_leaf):
+    """Lowest weighted-Gini split of every node in a batch, and its rows.
 
-
-def _best_split(X, y, rows, sizes, feats, min_leaf):
-    """Lowest weighted-Gini split of every node in a batch.
-
-    Node b holds the rows rows[b, :sizes[b]] (later entries are ignored)
-    and searches its sorted candidate features feats[b].  Each node's
-    (features, rows) block is padded at the end of every row with NaN, and
-    all blocks are sorted at once; the stable sort keeps real NaN cells in
-    their original order ahead of the padding.  Cut p splits between
-    sorted positions p and p+1 and counts when it leaves at least min_leaf
-    rows a side and the two values differ.  Ties resolve to the lowest
-    feature index and then the lowest threshold, the first minimum of the
-    node's block in row-major order.  Returns (weighted_gini, feature,
-    threshold) arrays; weighted_gini is inf where a node has no valid cut.
+    Node b holds the rows nodes[b] and searches its sorted candidate
+    features feats[b].  Each node's (features, rows) block is padded at
+    the end of every row with NaN, and all blocks are sorted at once; the
+    stable sort keeps real NaN cells in their original order ahead of the
+    padding.  Cut p splits between sorted positions p and p+1 and counts
+    when it leaves at least min_leaf rows a side and the two values
+    differ.  Ties resolve to the lowest feature index and then the lowest
+    threshold, the first minimum of the node's block in row-major order.
+    Returns (weighted_gini, feature, threshold, rows, n_left, ones_left);
+    weighted_gini is inf where a node has no valid cut.  rows[b] is node
+    b's rows in its winning feature's sorted order, padding last, split at
+    the chosen cut: its first n_left[b] rows, ones_left[b] of them class 1,
+    go left.  Valid cuts lie between distinct values, so only rows depends
+    on the order of nodes[b], and the stored threshold sends the same rows
+    left (a NaN goes right); prediction compares with that threshold.
     """
-    B, W = rows.shape
+    sizes = np.array([r.size for r in nodes])
+    B, W = len(nodes), sizes.max()
+    real = np.arange(W) < sizes[:, None]
+    rows = np.zeros(real.shape, dtype=np.intp)
+    rows[real] = np.concatenate(nodes)
     lo, hi = min_leaf - 1, W - min_leaf  # cuts in [lo, hi) leave min_leaf rows a side
     if lo >= hi:
-        return np.full(B, np.inf), feats[:, 0], np.full(B, np.nan)
-    real = np.arange(W) < sizes[:, None]
+        return np.full(B, np.inf), feats[:, 0], np.full(B, np.nan), rows, *np.zeros((2, B), int)
     xs = np.where(real[:, None, :], X[rows[:, None, :], feats[:, :, None]], np.nan)
     order = np.argsort(xs, axis=2, kind="stable")
     xv = np.take_along_axis(xs, order, axis=2)
@@ -156,7 +159,8 @@ def _best_split(X, y, rows, sizes, feats, min_leaf):
     # halving each side first cannot overflow; where the midpoint still
     # rounds onto the upper value, the lower one splits the same rows
     thr = 0.5 * below + 0.5 * above
-    return weighted[b, first], feats[b, k], np.where(thr < above, thr, below)
+    split = np.take_along_axis(rows, order[b, k], axis=1), lo + j + 1, ones[b, k, lo + j]
+    return weighted[b, first], feats[b, k], np.where(thr < above, thr, below), *split
 
 
 _BLOCK = 64  # trees grown together; bounds the batched search's temporaries
@@ -182,7 +186,10 @@ def _grow_block(X, y, rngs, boot, drawn, min_leaf, mtry):
     its candidate features from drawn[b][i], or, past the end of that
     list, draws them from rngs[b] and appends them.  Every draw is the
     same call, so draw i depends only on i, and a tree grows exactly as
-    when it is grown alone from a fresh generator.
+    when it is grown alone from a fresh generator.  A node's children are
+    its rows in the winning feature's sorted order, split at the chosen
+    cut (_best_split); the stored threshold sends the same training rows
+    left, and prediction compares with it.
     """
     d = X.shape[1]
     trees = [TreeNode() for _ in rngs]
@@ -209,22 +216,14 @@ def _grow_block(X, y, rngs, boot, drawn, min_leaf, mtry):
         if not todo:
             break
         active = still
-        sizes = np.array([t[2].size for t in todo])
-        real = np.arange(sizes.max()) < sizes[:, None]
-        rows = np.zeros(real.shape, dtype=np.intp)
-        rows[real] = np.concatenate([t[2] for t in todo])
-        weighted, feature, thr = _best_split(X, y, rows, sizes, np.sort(draws, axis=1), min_leaf)
-        split = _gini(np.array([t[3] for t in todo]), sizes) - weighted > _MIN_IMPURITY_DECREASE
-        go_left = (X[rows, feature[:, None]] <= thr[:, None]) & real
-        n_left = go_left.sum(axis=1)
-        ones_left = (go_left * y[rows]).sum(axis=1)
-        # each node's left rows, then its right rows, each in their original order
-        rows = np.take_along_axis(rows, np.argsort(~go_left, axis=1, kind="stable"), axis=1)
-        for (stack, node, _, ones), r, m, s, f, t, k, k1 in zip(
-            todo, rows, sizes.tolist(), split.tolist(), feature.tolist(), thr.tolist(),
-            n_left.tolist(), ones_left.tolist(),
-        ):
-            if not s:
+        weighted, feature, thr, rows, n_left, ones_left = _best_split(
+            X, y, [t[2] for t in todo], np.sort(draws, axis=1), min_leaf
+        )
+        cuts = zip(weighted.tolist(), feature.tolist(), thr.tolist(), n_left.tolist(), ones_left.tolist())
+        for (stack, node, parent, ones), r, (w, f, t, k, k1) in zip(todo, rows, cuts):
+            m, p1 = parent.size, ones / parent.size
+            # a leaf unless the cut lowers the node's Gini impurity, 1 - p1^2 - (1 - p1)^2
+            if 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1) - w <= _MIN_IMPURITY_DECREASE:
                 node.proba = ((m - ones) / m, ones / m)
                 continue
             node.feature, node.threshold = f, t

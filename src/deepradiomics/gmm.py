@@ -79,7 +79,7 @@ class FeatureVector:
     """Per-patient deep radiomic descriptor in map-major component order."""
 
     values: np.ndarray
-    nonconverged: tuple[int, ...] = ()  # maps whose EM fit stopped at max_iter
+    nonconverged: tuple[int, ...] = ()  # maps whose EM fit stopped at EM_MAX_ITER
 
     def __post_init__(self):
         if not np.isfinite(self.values).all():
@@ -144,7 +144,7 @@ def _fit_result(mu, var, w, trace: list, iterations: int, converged: bool) -> Gm
     )
 
 
-def _em_rows(x, mu, var, w, floor, max_iter: int) -> list[GmmFit]:
+def _em_rows(x, mu, var, w, floor) -> list[GmmFit]:
     """EM on every row of x (B, n), each from its own start (B, k) parameters.
 
     The rows step in lockstep and a row leaves the batch at the iteration
@@ -160,7 +160,7 @@ def _em_rows(x, mu, var, w, floor, max_iter: int) -> list[GmmFit]:
     fits: list[GmmFit | None] = [None] * len(x)
     iterations = 0
     while live.size:
-        if iterations == max_iter:
+        if iterations == EM_MAX_ITER:
             for j, r in enumerate(live):
                 fits[r] = _fit_result(mu[j], var[j], w[j], traces[r], iterations, False)
             break
@@ -186,7 +186,7 @@ def _em_rows(x, mu, var, w, floor, max_iter: int) -> list[GmmFit]:
     return fits
 
 
-def em_fit_rows(rows, k: int, *, max_iter: int = EM_MAX_ITER) -> list[GmmFit]:
+def em_fit_rows(rows, k: int) -> list[GmmFit]:
     """Fit a k-component 1-D Gaussian mixture by EM to each row of (B, n) samples.
 
     Each row starts from its quantile means (see the module docstring).
@@ -214,7 +214,7 @@ def em_fit_rows(rows, k: int, *, max_iter: int = EM_MAX_ITER) -> list[GmmFit]:
         mu = np.quantile(sub, (np.arange(kk) + 0.5) / kk, axis=1).T
         var = np.repeat(np.maximum(sub.var(axis=1), floor[idx])[:, None], kk, axis=1)
         w = np.full((len(idx), kk), 1.0 / kk)
-        batch = _em_rows(sub, mu, var, w, floor[idx], max_iter)
+        batch = _em_rows(sub, mu, var, w, floor[idx])
         for i, fit in zip(idx, batch):
             fits[i] = fit if kk == k else _with_surplus(fit, k, float(X[i].max()), floor[i])
     return fits
@@ -236,17 +236,17 @@ def _with_surplus(base: GmmFit, k: int, top: float, floor: float) -> GmmFit:
     )
 
 
-def em_fit(samples, k: int, *, max_iter: int = EM_MAX_ITER) -> GmmFit:
+def em_fit(samples, k: int) -> GmmFit:
     """Fit a k-component 1-D Gaussian mixture by EM: `em_fit_rows` on one row."""
     x = np.asarray(samples, dtype=np.float64).reshape(1, -1)
-    return em_fit_rows(x, k, max_iter=max_iter)[0]
+    return em_fit_rows(x, k)[0]
 
 
 # --------------------------------------------------------------------------
 # feature vector assembly
 # --------------------------------------------------------------------------
 
-def build_feature_vector(acts: ActivationSet, k: int = 2) -> FeatureVector:
+def build_feature_vector(acts: ActivationSet, k: int) -> FeatureVector:
     """Fit each of the 21 maps inside its ROI and concatenate the triples.
 
     The maps of one resolution share its mask and so its sample count:
@@ -262,7 +262,7 @@ def build_feature_vector(acts: ActivationSet, k: int = 2) -> FeatureVector:
     )
 
 
-def feature_names(k: int = 2) -> list[str]:
+def feature_names(k: int) -> list[str]:
     """CSV column names: f<map>_mu1, f<map>_s1, f<map>_w1, f<map>_mu2, ..."""
     names = []
     for m in range(N_MAPS):

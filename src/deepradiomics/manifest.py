@@ -41,8 +41,8 @@ _TARGET_COLUMNS = {
 }
 TARGETS = tuple(_TARGET_COLUMNS)
 
-# EM holds (maps, k, samples) arrays, and every grid tree gets a generator
-# before any tree grows, so both sizes have a ceiling
+# MAX_K bounds EM's (B, k, n) arrays.  MAX_TREES bounds one grid-search segment's
+# generators and bootstrap rows, and keeps fold seeds disjoint under forest._FOLD_SEED_STRIDE
 MAX_K = 16
 MAX_TREES = 10_000  # 20x the paper's largest forest
 

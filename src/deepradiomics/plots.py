@@ -16,6 +16,7 @@ PLOT_W = WIDTH - MARGIN_L - MARGIN_R
 PLOT_H = HEIGHT - MARGIN_T - MARGIN_B
 
 _COLORS = ("#c0392b", "#2471a3", "#1e8449", "#9a7d0a")
+N_TICKS, LINE_WIDTH = 5, 1.5  # ticks per axis, curve stroke width
 
 
 def _fmt(x: float) -> str:
@@ -27,10 +28,10 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [lo + (hi - lo) * i / (N_TICKS - 1) for i in range(N_TICKS)]
 
 
 class _Canvas:
@@ -96,10 +97,10 @@ class _Canvas:
             ylabel,
         )
 
-    def polyline(self, xs, ys, color: str, width: float = 1.5):
+    def polyline(self, xs, ys, color: str):
         pts = " ".join(f"{_fmt(self.px(x))},{_fmt(self.py(y))}" for x, y in zip(xs, ys))
         self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{LINE_WIDTH}"/>'
         )
 
     def bar(self, x0: float, x1: float, y: float, color: str):

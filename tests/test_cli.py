@@ -1,7 +1,6 @@
 """Manifest/config handling, pipeline commands and the radiomics CLI."""
 
 import dataclasses
-import functools
 import hashlib
 import json
 import logging
@@ -531,8 +530,7 @@ class TestExtract:
     def test_nonconvergence_is_logged(self, extracted, tmp_path, monkeypatch, caplog):
         manifest, cfg, _ = extracted
         # a one-iteration cap leaves at least the input map of every volume unconverged
-        monkeypatch.setattr(gmm, "em_fit", functools.partial(gmm.em_fit, max_iter=1))
-        monkeypatch.setattr(gmm, "em_fit_rows", functools.partial(gmm.em_fit_rows, max_iter=1))
+        monkeypatch.setattr(gmm, "EM_MAX_ITER", 1)
         with caplog.at_level(logging.WARNING, logger="deepradiomics"):
             result = cmd_extract(load_manifest(manifest), manifest.parent / "weights.bin", cfg, tmp_path)
         assert result.n_ok == 5
@@ -552,8 +550,7 @@ class TestExtract:
         self, extracted, tmp_path, monkeypatch, caplog
     ):
         manifest, cfg, _ = extracted
-        monkeypatch.setattr(gmm, "em_fit", functools.partial(gmm.em_fit, max_iter=1))
-        monkeypatch.setattr(gmm, "em_fit_rows", functools.partial(gmm.em_fit_rows, max_iter=1))
+        monkeypatch.setattr(gmm, "EM_MAX_ITER", 1)
         monkeypatch.setenv("RADIOMICS_THREADS", "2")
         # S00 starts only once S01 has finished, so the workers finish out of manifest order
         s01_done = threading.Event()

@@ -104,7 +104,7 @@ class TestRfTrain:
     def test_identical_features_yield_single_leaf_trees(self):
         X = np.ones((8, 3))
         y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-        model = rf_train(Dataset(ids=tuple("abcdefgh"), X=X, y=y), RfParams(n_trees=20), seed=0)
+        model = rf_train(Dataset(ids=tuple("abcdefgh"), X=X, y=y), RfParams(n_trees=20, min_leaf=1), seed=0)
         for tree in model.trees:
             assert tree.proba is not None  # no split possible anywhere
             assert tree.proba[0] + tree.proba[1] == pytest.approx(1.0)
@@ -134,8 +134,8 @@ class TestRfTrain:
 
     def test_determinism(self):
         ds = blob_dataset(n_per_class=30, seed=1)
-        a = rf_train(ds, RfParams(n_trees=10), seed=9)
-        b = rf_train(ds, RfParams(n_trees=10), seed=9)
+        a = rf_train(ds, RfParams(n_trees=10, min_leaf=1), seed=9)
+        b = rf_train(ds, RfParams(n_trees=10, min_leaf=1), seed=9)
         assert [tree_signature(t) for t in a.trees] == [tree_signature(t) for t in b.trees]
 
     def test_monotone_rescaling_keeps_tree_structure(self):
@@ -148,7 +148,7 @@ class TestRfTrain:
         b = rf_train(other, RfParams(n_trees=15, min_leaf=2), seed=4)
         assert [tree_signature(t) for t in a.trees] == [tree_signature(t) for t in b.trees]
 
-    @pytest.mark.parametrize("kwargs", [{"n_trees": 0}, {"min_leaf": 0}])
+    @pytest.mark.parametrize("kwargs", [{"n_trees": 0, "min_leaf": 1}, {"n_trees": 1, "min_leaf": 0}])
     def test_params_below_one_rejected(self, kwargs):
         with pytest.raises(ValueError, match=">= 1"):
             RfParams(**kwargs)
@@ -165,7 +165,7 @@ class TestRfTrain:
         X = np.array([[low], [high], [low], [high]])
         ds = Dataset(ids=tuple("abcd"), X=X, y=np.array([0, 1, 0, 1]))
         with time_limit(2.0):  # a threshold of high sends every row left, forever
-            model = rf_train(ds, RfParams(n_trees=10), seed=0)
+            model = rf_train(ds, RfParams(n_trees=10, min_leaf=1), seed=0)
         split = [t for t in model.trees if t.proba is None]
         assert split  # some bootstrap draws both values
         for tree in split:
@@ -174,9 +174,9 @@ class TestRfTrain:
 
     def test_errors(self):
         with pytest.raises(EmptyTraining):
-            rf_train(Dataset(ids=(), X=np.empty((0, 2)), y=np.empty(0, int)), RfParams(), 0)
+            rf_train(Dataset(ids=(), X=np.empty((0, 2)), y=np.empty(0, int)), RfParams(1, 1), 0)
         with pytest.raises(SingleClassTraining):
-            rf_train(Dataset(ids=("a", "b"), X=np.eye(2), y=np.array([1, 1])), RfParams(), 0)
+            rf_train(Dataset(ids=("a", "b"), X=np.eye(2), y=np.array([1, 1])), RfParams(1, 1), 0)
 
 
 def reference_best_split(X, y, rows, feats, min_leaf):
@@ -237,20 +237,10 @@ def split_problems(draw):
     return X, y, rows, feats, min_leaf
 
 
-def batched_best_split(X, y, rows, feats, min_leaf, pad_seed=0):
-    """_best_split on a ragged batch, one (gini, feature, threshold) or None per node.
-
-    Rows are padded with random row indices, which _best_split must ignore.
-    """
-    sizes = np.array([r.size for r in rows])
-    padded = np.random.default_rng(pad_seed).integers(0, X.shape[0], (len(rows), sizes.max()))
-    for b, r in enumerate(rows):
-        padded[b, : r.size] = r
-    weighted, feature, thr = _best_split(X, y, padded, sizes, np.asarray(feats), min_leaf)
-    return [
-        None if w == np.inf else (float(w), int(f), float(t))
-        for w, f, t in zip(weighted, feature, thr)
-    ]
+def batched_best_split(X, y, rows, feats, min_leaf):
+    """_best_split on a ragged batch, one (gini, feature, threshold) or None per node."""
+    weighted, feature, thr, *_ = _best_split(X, y, rows, np.asarray(feats), min_leaf)
+    return [None if w == np.inf else (float(w), int(f), float(t)) for w, f, t in zip(weighted, feature, thr)]
 
 
 @st.composite
@@ -272,15 +262,24 @@ class TestBestSplit:
     @given(split_problems())
     def test_matches_per_feature_search(self, problem):
         X, y, rows, feats, min_leaf = problem
-        expected = reference_best_split(X, y, rows, feats, min_leaf)
-        assert batched_best_split(X, y, [rows], feats[None], min_leaf) == [expected]
+        assert batched_best_split(X, y, [rows], feats[None], min_leaf) == [reference_best_split(*problem)]
 
     @settings(max_examples=200, deadline=None)
-    @given(split_batches(), st.integers(0, 2**32 - 1))
-    def test_ragged_batch_matches_each_node_alone(self, batch, pad_seed):
+    @given(split_batches())
+    def test_ragged_batch_matches_each_node_alone(self, batch):
         X, y, rows, feats, min_leaf = batch
         expected = [reference_best_split(X, y, r, f, min_leaf) for r, f in zip(rows, feats)]
-        assert batched_best_split(X, y, rows, feats, min_leaf, pad_seed) == expected
+        assert batched_best_split(X, y, rows, feats, min_leaf) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(split_batches())
+    def test_rows_come_back_split_at_the_threshold(self, batch):
+        X, y, nodes, feats, min_leaf = batch
+        for node, w, f, t, r, k, k1 in zip(nodes, *_best_split(X, y, nodes, feats, min_leaf)):
+            if w < np.inf:  # the rows x <= t, then the others, as multisets
+                left = X[node, f] <= t
+                assert sorted(r[:k]) == sorted(node[left]) and sorted(r[k : node.size]) == sorted(node[~left])
+                assert k1 == y[node[left]].sum() and min_leaf <= k <= node.size - min_leaf
 
     def test_tie_prefers_lowest_feature_then_lowest_threshold(self):
         # both columns separate the classes equally well at two thresholds

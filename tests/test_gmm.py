@@ -1,6 +1,7 @@
 """EM mixture fitting and feature-vector assembly."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deepradiomics as dr
+from deepradiomics import gmm
 from deepradiomics.cnn import CnnWeights
 from deepradiomics.errors import EmptyMask, EmptySamples, InvalidK, LengthMismatch, ShapeMismatch
 from deepradiomics.gmm import SURPLUS_WEIGHT, em_fit, em_fit_rows, variance_floor
@@ -111,9 +113,10 @@ class TestEmFit:
             assert (np.diff(fit.ll_trace) >= -1e-10).all(), f"seed {seed} not monotone"
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 5, 10])
-    def test_weights_normalised_after_every_m_step(self, iters):
+    def test_weights_normalised_after_every_m_step(self, iters, monkeypatch):
+        monkeypatch.setattr(gmm, "EM_MAX_ITER", iters)
         x = two_gaussians(n=500, seed=3)
-        fit = em_fit(x, 2, max_iter=iters)
+        fit = em_fit(x, 2)
         total = sum(c.omega for c in fit.components)
         np.testing.assert_allclose(total, 1.0, atol=1e-9)
 
@@ -254,17 +257,19 @@ class TestEmFitRows:
     def test_batch_equals_one_map_fits_bit_for_bit(self, kinds, n, k, max_iter, seed):
         rng = np.random.default_rng(seed)
         rows = np.stack([sample_row(rng, kind, n) for kind in kinds])
-        fits = em_fit_rows(rows, k, max_iter=max_iter)
-        assert len(fits) == len(rows)
-        for row, fit in zip(rows, fits):
-            ref = reference_em_fit(row, k, max_iter=max_iter)
-            assert_same_fit(fit, ref)
-            assert_same_fit(em_fit(row, k, max_iter=max_iter), ref)
+        with mock.patch.object(gmm, "EM_MAX_ITER", max_iter):
+            fits = em_fit_rows(rows, k)
+            assert len(fits) == len(rows)
+            for row, fit in zip(rows, fits):
+                ref = reference_em_fit(row, k, max_iter=max_iter)
+                assert_same_fit(fit, ref)
+                assert_same_fit(em_fit(row, k), ref)
 
-    def test_rows_stop_at_their_own_iteration(self):
+    def test_rows_stop_at_their_own_iteration(self, monkeypatch):
+        monkeypatch.setattr(gmm, "EM_MAX_ITER", 60)
         rng = np.random.default_rng(3)
         rows = np.stack([sample_row(rng, kind, 300) for kind in ROW_KINDS])
-        fits = em_fit_rows(rows, 2, max_iter=60)
+        fits = em_fit_rows(rows, 2)
         iterations = [f.iterations for f in fits]
         assert len(set(iterations)) > 2  # rows left the batch at different steps
         assert not all(f.converged for f in fits) and any(f.converged for f in fits)
