@@ -39,7 +39,9 @@ from .gmm import (
     em_fit,
     em_fit_rows,
     feature_names,
+    fit_roi_samples,
     reduce_modalities,
+    roi_samples,
 )
 from .manifest import PatientRecord, RunConfig, load_config, load_manifest
 from .pipeline import (
@@ -105,6 +107,7 @@ __all__ = [
     "em_fit_rows",
     "extract_cnn_input",
     "feature_names",
+    "fit_roi_samples",
     "forward",
     "generate_test_weights",
     "impute_censored",
@@ -126,6 +129,7 @@ __all__ = [
     "rf_predict",
     "rf_train",
     "roc_points",
+    "roi_samples",
     "save_mask",
     "save_volume",
     "save_weights",

@@ -277,13 +277,18 @@ def _conv_relu_pool(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.
     each axis.  Pooled output plane i needs conv planes 2i and 2i+1, which
     read padded input planes 2i..2i+2, so each slab goes through the same
     float operations in the same order as the whole volume would: the
-    result is bit-identical, and only one slab's conv output is ever alive.
+    result is bit-identical.  Besides `x` and the pooled output, only one
+    slab is alive: its three zero-padded input planes, copied into one
+    reused buffer, and its conv output.
     """
-    xp = np.pad(x, [(0, 0), (0, 1), (0, 1), (0, 1)])
-    n = x.shape[1]
+    c, n = x.shape[0], x.shape[1]
+    planes = np.zeros((c, 3, n + 1, n + 1))
     out = np.empty((filters.shape[0], n // 2, n // 2, n // 2))
     for i in range(0, n, 2):
-        slab = conv3d(xp[:, i : i + 3], filters, bias, stride=1, padding="valid")
+        k = min(3, n - i)
+        planes[:, :k, :n, :n] = x[:, i : i + k]
+        planes[:, k:] = 0.0  # the high-end padding plane of the last slab
+        slab = conv3d(planes, filters, bias, stride=1, padding="valid")
         out[:, i // 2 : i // 2 + 1] = maxpool3d(relu(slab))
     return out
 

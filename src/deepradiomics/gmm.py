@@ -246,20 +246,41 @@ def em_fit(samples, k: int) -> GmmFit:
 # feature vector assembly
 # --------------------------------------------------------------------------
 
-def build_feature_vector(acts: ActivationSet, k: int) -> FeatureVector:
-    """Fit each of the 21 maps inside its ROI and concatenate the triples.
+def roi_samples(acts: ActivationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The in-ROI values of the 21 maps, gathered per resolution.
 
-    The maps of one resolution share its mask and so its sample count:
-    the input map is one fit, and each layer's 10 maps are one row batch
-    of `em_fit_rows`, which gives exactly the per-map fits.
+    Returns the input map's samples (n64,) and each layer's (10, n) row
+    batch; the maps of one resolution share its mask and so its sample
+    count.  The result holds copies of the samples only, so the maps can
+    be freed before they are fitted.
     """
-    fits = [em_fit(collect_samples(acts.input_map, acts.mask64), k)]
-    for maps, mask in ((acts.layer1_maps, acts.mask32), (acts.layer2_maps, acts.mask16)):
-        fits += em_fit_rows(np.stack([collect_samples(m, mask) for m in maps]), k)
+    return (
+        collect_samples(acts.input_map, acts.mask64),
+        np.stack([collect_samples(m, acts.mask32) for m in acts.layer1_maps]),
+        np.stack([collect_samples(m, acts.mask16) for m in acts.layer2_maps]),
+    )
+
+
+def fit_roi_samples(samples, k: int) -> FeatureVector:
+    """Fit `roi_samples`' output and concatenate the 21 maps' triples.
+
+    Holds the samples and one fit's working arrays at a time.  The input
+    map is one `em_fit`, and each layer's 10 rows are one batch of
+    `em_fit_rows`, which gives exactly the per-map fits.
+    """
+    first, *layers = samples
+    fits = [em_fit(first, k)]
+    for rows in layers:
+        fits += em_fit_rows(rows, k)
     return FeatureVector(
         values=np.concatenate([f.as_triples() for f in fits]),
         nonconverged=tuple(i for i, f in enumerate(fits) if not f.converged),
     )
+
+
+def build_feature_vector(acts: ActivationSet, k: int) -> FeatureVector:
+    """Fit each of the 21 maps inside its ROI and concatenate the triples."""
+    return fit_roi_samples(roi_samples(acts), k)
 
 
 def feature_names(k: int) -> list[str]:

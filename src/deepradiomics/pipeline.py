@@ -50,6 +50,11 @@ def thread_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
+def worker_count(tasks: int) -> int:
+    """Workers for `tasks` independent tasks: thread_count(), but no more than the tasks."""
+    return min(thread_count(), tasks)
+
+
 # --------------------------------------------------------------------------
 # canonical serialization
 # --------------------------------------------------------------------------
@@ -91,13 +96,22 @@ def write_json(path, obj) -> None:
 # --------------------------------------------------------------------------
 
 def volume_features(vol_path, mask_path, weights: cnn.CnnWeights, k: int) -> gmm.FeatureVector:
-    """Full single-volume pass: preprocess, run the network, fit mixtures."""
-    acts = volume_activations(vol_path, mask_path, weights)
-    return gmm.build_feature_vector(acts, k=k)
+    """Full single-volume pass: preprocess, run the network, fit mixtures.
+
+    Only the maps' in-ROI samples reach EM: the activation maps are freed
+    once their samples are gathered.
+    """
+    samples = gmm.roi_samples(volume_activations(vol_path, mask_path, weights))
+    return gmm.fit_roi_samples(samples, k)
 
 
 def volume_activations(vol_path, mask_path, weights: cnn.CnnWeights) -> cnn.ActivationSet:
-    """Load, resample to 1 mm, standardise, crop to 64^3 and run the network."""
+    """Load, resample to 1 mm, standardise, crop to 64^3 and run the network.
+
+    The mask is resampled before the volume, and each whole-grid array is
+    dropped once the next step has its result, so none of them is alive
+    during the forward pass.
+    """
     vol = volume.load_volume(vol_path)
     mask_hdr = volume.read_header(mask_path)
     if tuple(mask_hdr["dims"]) != vol.dims:
@@ -108,12 +122,11 @@ def volume_activations(vol_path, mask_path, weights: cnn.CnnWeights) -> cnn.Acti
         raise ShapeMismatch(
             f"mask spacing {mask_hdr['spacing_mm']} != volume spacing {list(vol.spacing)}"
         )
-    mask = volume.load_mask(mask_path)
-
-    iso = volume.resample_isotropic(vol)
-    iso_mask = volume.resample_mask(mask, vol.spacing)
-    std = volume.standardize_intensity(iso)
-    input64, mask64 = volume.extract_cnn_input(std, iso_mask)
+    mask = volume.resample_mask(volume.load_mask(mask_path), vol.spacing)
+    vol = volume.resample_isotropic(vol)
+    vol = volume.standardize_intensity(vol)
+    input64, mask64 = volume.extract_cnn_input(vol, mask)
+    del vol, mask
     return cnn.forward(input64, mask64, weights)
 
 
@@ -147,7 +160,11 @@ class ExtractResult:
 
 
 def cmd_extract(records, weights_path, config: RunConfig, out_dir) -> ExtractResult:
-    """Compute the feature matrix for a cohort and write features.csv."""
+    """Compute the feature matrix for a cohort and write features.csv.
+
+    Patients run on `worker_count(len(records))` threads; a single worker
+    is the calling thread itself.
+    """
     out = _output_dir(out_dir)
     weights = cnn.load_weights(weights_path)
 
@@ -157,8 +174,12 @@ def cmd_extract(records, weights_path, config: RunConfig, out_dir) -> ExtractRes
         except (RadiomicsError, ValueError) as e:
             return None, [], f"{type(e).__name__}: {e}"
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        results = list(pool.map(one, records))
+    workers = worker_count(len(records))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, records))
+    else:  # no thread, and so no malloc arena of its own
+        results = [one(r) for r in records]
 
     rows = []
     failures = []

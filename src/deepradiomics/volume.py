@@ -35,6 +35,7 @@ MODALITIES = ("T1WI", "T1CE", "T2WI", "FLAIR", "DERIVED")
 
 ISO_MM = 1.0  # isotropic voxel size the network input is resampled to
 MAX_VOXELS = 2**27  # largest resampled grid, 1 GiB of float64
+_SLAB_BYTES = 2**20  # float64 output that _trilinear_grid computes per x-slab
 CNN_INPUT_SIZE = 64
 
 
@@ -224,6 +225,12 @@ def _trilinear_grid(data: np.ndarray, coords_1d: list[np.ndarray]) -> np.ndarray
     are clamped to the grid: a point t past the last voxel v gets
     (1-t)*v + (1-(1-t))*v.  tests/test_volume.py pins the float operations
     (w1 = 1-w0, ((v*wx)*wy)*wz, x-major sum) bit for bit to a reference.
+
+    The output is filled in x-slabs of about _SLAB_BYTES, so besides the
+    float64 output only one slab's temporaries are alive: the gathered x
+    planes, their y-interpolated planes and one corner's product.  Every
+    output voxel goes through the same operations whatever the slab, so
+    the result does not depend on the slab height.
     """
     corners = []
     for c, n in zip(coords_1d, data.shape):
@@ -232,15 +239,19 @@ def _trilinear_grid(data: np.ndarray, coords_1d: list[np.ndarray]) -> np.ndarray
         i0 = f.astype(np.intp)
         corners.append([(np.clip(i0, 0, n - 1), w0), (np.clip(i0 + 1, 0, n - 1), 1.0 - w0)])
     out = np.zeros([len(c) for c in coords_1d])
-    for ix, wx in corners[0]:
-        vx = data[ix] * wx[:, None, None]  # float64 whatever data's dtype
-        for iy, wy in corners[1]:
-            vy = vx[:, iy]
-            vy *= wy[:, None]
-            for iz, wz in corners[2]:
-                vz = vy[:, :, iz]
-                vz *= wz
-                out += vz
+    height = max(1, _SLAB_BYTES // out[0].nbytes)
+    for a in range(0, len(out), height):
+        xs = slice(a, a + height)
+        slab = out[xs]
+        for ix, wx in corners[0]:
+            vx = data[ix[xs]] * wx[xs, None, None]  # float64 whatever data's dtype
+            for iy, wy in corners[1]:
+                vy = vx[:, iy]
+                vy *= wy[:, None]
+                for iz, wz in corners[2]:
+                    vz = vy[:, :, iz]
+                    vz *= wz
+                    slab += vz
     return out
 
 
@@ -268,8 +279,7 @@ def resample_mask(mask: RoiMask, spacing) -> RoiMask:
     if all(s == ISO_MM for s in spacing):
         return mask
     out_dims, coords = _iso_grid(mask.dims, spacing)
-    dense = _trilinear_grid(mask.voxels, coords)
-    voxels = (dense > 0.5).astype(np.uint8)
+    voxels = (_trilinear_grid(mask.voxels, coords) > 0.5).view(np.uint8)
     if mask.count > 0 and voxels.sum() == 0:
         centroid = [float(c.mean()) for c in np.nonzero(mask.voxels)]
         idx = tuple(
@@ -281,13 +291,19 @@ def resample_mask(mask: RoiMask, spacing) -> RoiMask:
 
 
 def standardize_intensity(vol: Volume3D) -> Volume3D:
-    """Rescale values to [0, 255]; a constant volume maps to all zeros."""
+    """Rescale values to [0, 255]; a constant volume maps to all zeros.
+
+    Builds one float64 output array, 255*(x-lo)/(hi-lo) computed in place
+    in that order, and leaves `vol` untouched.
+    """
     lo = float(vol.data.min())
     hi = float(vol.data.max())
     if hi == lo:
         data = np.zeros(vol.dims, dtype=np.float64)
     else:
-        data = 255.0 * (np.asarray(vol.data, dtype=np.float64) - lo) / (hi - lo)
+        data = np.subtract(vol.data, lo, dtype=np.float64)
+        data *= 255.0
+        data /= hi - lo
         np.clip(data, 0.0, 255.0, out=data)  # shave 1-ulp rounding overshoot
     return Volume3D(data=data, spacing=vol.spacing, modality=vol.modality)
 
@@ -310,23 +326,22 @@ def _resize_align_corners(data: np.ndarray, out_dims) -> np.ndarray:
 def extract_cnn_input(vol: Volume3D, mask: RoiMask) -> tuple[Volume3D, RoiMask]:
     """Cut the ROI bounding box out of `vol` and fit it into a CNN_INPUT_SIZE^3 cube.
 
-    Out-of-mask voxels are zeroed first.  The box is scaled by a single
-    factor (largest axis -> CNN_INPUT_SIZE) so aspect ratio is preserved, then
-    zero-padded to centre it.  Returns the cube and a matching binary mask
-    (threshold 0.5 after the same resize; never empty).
+    Out-of-mask voxels of the box are zeroed first; nothing the size of the
+    whole grid is allocated.  The box is scaled by a single factor (largest
+    axis -> CNN_INPUT_SIZE) so aspect ratio is preserved, then zero-padded
+    to centre it.  Returns the cube and a matching binary mask (threshold
+    0.5 after the same resize; never empty).
     """
     if vol.dims != mask.dims:
         raise ShapeMismatch(f"volume dims {vol.dims} != mask dims {mask.dims}")
     if mask.count == 0:
         raise EmptyMask("cannot extract network input from an empty mask")
 
-    inside = mask.voxels.astype(bool)
-    masked = np.where(inside, np.asarray(vol.data, dtype=np.float64), 0.0)
-    idx = np.nonzero(inside)
-    lo = [int(i.min()) for i in idx]
-    hi = [int(i.max()) + 1 for i in idx]
-    box = masked[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
-    box_mask = inside[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]].astype(np.float64)
+    idx = np.nonzero(mask.voxels)
+    roi = tuple(slice(int(i.min()), int(i.max()) + 1) for i in idx)
+    inside = mask.voxels[roi].astype(bool)
+    box = np.where(inside, np.asarray(vol.data[roi], dtype=np.float64), 0.0)
+    box_mask = inside.astype(np.float64)
 
     size = CNN_INPUT_SIZE
     scale = size / max(box.shape)

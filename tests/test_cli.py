@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deepradiomics as dr
-from deepradiomics import gmm, pipeline, survival
+from deepradiomics import cnn, gmm, pipeline, survival, volume
 from deepradiomics.cli import main
 from deepradiomics.errors import (
     BadMapIndex,
@@ -502,6 +503,61 @@ class TestExtract:
         monkeypatch.setenv("RADIOMICS_THREADS", "1")
         serial = cmd_extract(records, manifest.parent / "weights.bin", cfg, tmp_path)
         assert serial.features_path.read_bytes() == result.features_path.read_bytes()
+
+    @pytest.mark.parametrize("threads, patients", [("1", 5), ("2", 1)])
+    def test_one_worker_runs_on_the_calling_thread(
+        self, extracted, tmp_path, monkeypatch, threads, patients
+    ):
+        manifest, cfg, _ = extracted
+        records = load_manifest(manifest)[:patients]
+        monkeypatch.setenv("RADIOMICS_THREADS", threads)
+        ran_on = []
+
+        def record_thread(record, *args):
+            ran_on.append(threading.current_thread())
+            return gmm.FeatureVector(values=np.zeros(len(gmm.feature_names(cfg.k)))), []
+
+        monkeypatch.setattr(pipeline, "patient_features", record_thread)
+        result = cmd_extract(records, manifest.parent / "weights.bin", cfg, tmp_path)
+        assert result.n_ok == patients
+        assert ran_on == [threading.current_thread()] * patients
+
+    def test_worker_count_is_capped_by_the_patients(self, monkeypatch):
+        # the sizing alone: no pool is started
+        monkeypatch.setenv("RADIOMICS_THREADS", "64")
+        assert [pipeline.worker_count(n) for n in (0, 1, 3, 64, 100)] == [0, 1, 3, 64, 64]
+        monkeypatch.setenv("RADIOMICS_THREADS", "1")
+        assert pipeline.worker_count(5) == 1
+
+    def test_no_whole_grid_array_outlives_its_step(self, extracted, monkeypatch):
+        # the loaded, resampled and standardised grids are gone by the forward
+        # pass, and the activation maps by the time EM starts
+        manifest, cfg, _ = extracted
+        record = load_manifest(manifest)[0]
+        made = []
+
+        def keep_ref(fn):
+            def wrapped(*args):
+                out = fn(*args)
+                made.append(weakref.ref(out))
+                return out
+            return wrapped
+
+        def check_freed(fn, expected):
+            def wrapped(*args):
+                assert len(made) == expected and all(ref() is None for ref in made)
+                return fn(*args)
+            return wrapped
+
+        steps = ("load_volume", "load_mask", "resample_mask", "resample_isotropic", "standardize_intensity")
+        for name in steps:
+            monkeypatch.setattr(volume, name, keep_ref(getattr(volume, name)))
+        monkeypatch.setattr(cnn, "forward", check_freed(cnn.forward, len(steps)))
+        monkeypatch.setattr(pipeline, "volume_activations", keep_ref(pipeline.volume_activations))
+        monkeypatch.setattr(gmm, "fit_roi_samples", check_freed(gmm.fit_roi_samples, len(steps) + 1))
+        weights = dr.load_weights(manifest.parent / "weights.bin")
+        fv = pipeline.volume_features(record.volumes["t1wi"], record.mask, weights, cfg.k)
+        assert len(fv) == len(gmm.feature_names(cfg.k))
 
     def test_broken_patient_skipped(self, extracted, tmp_path):
         manifest, cfg, _ = extracted

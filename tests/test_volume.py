@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import label, map_coordinates
 
 import deepradiomics as dr
+from deepradiomics import volume
 from deepradiomics.errors import (
     DegenerateOutput,
     EmptyMask,
@@ -267,6 +270,43 @@ class TestVolumeIO:
 # resampling
 # --------------------------------------------------------------------------
 
+# (dims, dtype kind, output grid, seed) cases for _trilinear_grid against its oracle
+map_coordinates_cases = given(
+    st.tuples(*[st.integers(1, 29)] * 3),
+    st.sampled_from(["f32", "f64", "binary"]),
+    st.one_of(
+        st.tuples(*[st.floats(0.3, 4.0)] * 3).map(lambda s: ("iso", s)),
+        st.tuples(*[st.integers(1, 64)] * 3).map(lambda d: ("align", d)),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def assert_bitwise_equal_to_map_coordinates(dims, kind, grid, seed):
+    # compared as uint64 views, so -0.0 against 0.0 counts as a difference
+    rng = np.random.default_rng(seed)
+    if kind == "binary":
+        data = (rng.random(dims) > 0.5).astype(np.uint8)
+    else:
+        data = rng.standard_normal(dims).astype(np.float32 if kind == "f32" else np.float64)
+    if grid[0] == "iso":
+        try:
+            _, coords = _iso_grid(dims, grid[1])
+        except DegenerateOutput:
+            return
+    else:
+        coords = [np.array(c) for c in align_corners_coords(dims, grid[1])]
+    ref = map_coordinates(
+        np.asarray(data, dtype=np.float64),
+        np.stack(np.meshgrid(*coords, indexing="ij")),
+        order=1,
+        mode="nearest",
+    )
+    out = _trilinear_grid(data, coords)
+    assert out.shape == ref.shape
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
 class TestResample:
     def test_identity_at_target_spacing(self):
         rng = np.random.default_rng(0)
@@ -347,38 +387,39 @@ class TestResample:
         assert proc.stdout.splitlines() == [message, message]
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.tuples(*[st.integers(1, 29)] * 3),
-        st.sampled_from(["f32", "f64", "binary"]),
-        st.one_of(
-            st.tuples(*[st.floats(0.3, 4.0)] * 3).map(lambda s: ("iso", s)),
-            st.tuples(*[st.integers(1, 64)] * 3).map(lambda d: ("align", d)),
-        ),
-        st.integers(0, 2**32 - 1),
-    )
+    @map_coordinates_cases
     def test_bitwise_equal_to_map_coordinates(self, dims, kind, grid, seed):
-        # compared as uint64 views, so -0.0 against 0.0 counts as a difference
-        rng = np.random.default_rng(seed)
-        if kind == "binary":
-            data = (rng.random(dims) > 0.5).astype(np.uint8)
+        assert_bitwise_equal_to_map_coordinates(dims, kind, grid, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @map_coordinates_cases
+    def test_one_plane_slabs_bitwise_equal_to_map_coordinates(self, dims, kind, grid, seed):
+        # a one-byte budget makes every x-plane its own slab
+        with patch.object(volume, "_SLAB_BYTES", 1):
+            assert_bitwise_equal_to_map_coordinates(dims, kind, grid, seed)
+
+    @pytest.mark.parametrize("kind", ["volume", "mask"])
+    def test_peak_memory_is_the_grid_and_one_slab(self, kind):
+        # an anisotropic grid of about 10^6 output voxels; whole-grid
+        # temporaries would peak at about 3.4x the float64 grid
+        spacing = (0.94, 0.94, 5.0)
+        rng = np.random.default_rng(11)
+        if kind == "volume":
+            vol = dr.Volume3D(data=rng.standard_normal((128, 128, 16)).astype(np.float32), spacing=spacing)
+            resample = lambda: dr.resample_isotropic(vol).data
         else:
-            data = rng.standard_normal(dims).astype(np.float32 if kind == "f32" else np.float64)
-        if grid[0] == "iso":
-            try:
-                _, coords = _iso_grid(dims, grid[1])
-            except DegenerateOutput:
-                return
-        else:
-            coords = [np.array(c) for c in align_corners_coords(dims, grid[1])]
-        ref = map_coordinates(
-            np.asarray(data, dtype=np.float64),
-            np.stack(np.meshgrid(*coords, indexing="ij")),
-            order=1,
-            mode="nearest",
-        )
-        out = _trilinear_grid(data, coords)
-        assert out.shape == ref.shape
-        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+            mask = dr.RoiMask(voxels=(rng.random((128, 128, 16)) > 0.5).astype(np.uint8))
+            resample = lambda: resample_mask(mask, spacing).voxels
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = resample()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (120, 120, 80)
+        assert peak - base < 1.5 * out.size * 8
 
     def test_mask_resampling_stays_nonempty(self):
         vox = np.zeros((5, 5, 5), dtype=np.uint8)
