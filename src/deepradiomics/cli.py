@@ -33,34 +33,26 @@ def build_parser() -> argparse.ArgumentParser:
         "extraction, classification and survival analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--manifest", required=True, help="cohort manifest CSV")
+    common.add_argument("--config", help="run configuration JSON")
+    common.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("extract", help="compute the per-patient feature matrix")
-    p.add_argument("--manifest", required=True, help="cohort manifest CSV")
+    p = sub.add_parser("extract", parents=[common], help="compute the per-patient feature matrix")
     p.add_argument("--weights", required=True, help="network weights file")
-    p.add_argument("--config", default=None, help="run configuration JSON")
-    p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("classify", help="LOOCV random-forest classification")
+    p = sub.add_parser("classify", parents=[common], help="LOOCV random-forest classification")
     p.add_argument("--features", required=True, help="features.csv from extract")
-    p.add_argument("--manifest", required=True)
     p.add_argument("--target", required=True, choices=TARGETS)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("survive", help="KM / log-rank analysis of predicted groups")
+    p = sub.add_parser("survive", parents=[common], help="KM / log-rank analysis of predicted groups")
     p.add_argument("--features", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("inspect", help="histogram + GMM overlay for one map")
-    p.add_argument("--manifest", required=True)
+    p = sub.add_parser("inspect", parents=[common], help="histogram + GMM overlay for one map")
     p.add_argument("--weights", required=True)
     p.add_argument("--patient", required=True)
     p.add_argument("--map", type=int, required=True, dest="map_index")
     p.add_argument("--modality", default="t1ce", choices=MODALITY_COLUMNS)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("gen-weights", help="write deterministic test weights")
     p.add_argument("--seed", type=int, required=True)

@@ -219,7 +219,7 @@ def conv3d(
         before, after, out = _pad_amounts(axis, k, stride, padding)
         pads.append((before, after))
         outs.append(out)
-    xp = np.pad(x, [(0, 0)] + pads)
+    xp = np.pad(x, [(0, 0)] + pads) if any(map(any, pads)) else x
 
     result = np.empty((c_out, *outs), dtype=np.float64)
     result[:] = bias[:, None, None, None]
@@ -278,16 +278,13 @@ def _conv_relu_pool(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.
     read padded input planes 2i..2i+2, so each slab goes through the same
     float operations in the same order as the whole volume would: the
     result is bit-identical.  Besides `x` and the pooled output, only one
-    slab is alive: its three zero-padded input planes, copied into one
-    reused buffer, and its conv output.
+    slab is alive: its three input planes, zero-padded by one np.pad copy
+    (the last slab's third plane is padding), and its conv output.
     """
-    c, n = x.shape[0], x.shape[1]
-    planes = np.zeros((c, 3, n + 1, n + 1))
+    n = x.shape[1]
     out = np.empty((filters.shape[0], n // 2, n // 2, n // 2))
     for i in range(0, n, 2):
-        k = min(3, n - i)
-        planes[:, :k, :n, :n] = x[:, i : i + k]
-        planes[:, k:] = 0.0  # the high-end padding plane of the last slab
+        planes = np.pad(x[:, i : i + 3], [(0, 0), (0, i + 3 - min(i + 3, n)), (0, 1), (0, 1)])
         slab = conv3d(planes, filters, bias, stride=1, padding="valid")
         out[:, i // 2 : i // 2 + 1] = maxpool3d(relu(slab))
     return out

@@ -104,7 +104,7 @@ class EvalReport:
     accuracy: float
     confusion: np.ndarray  # [[tn, fp], [fn, tp]]
     per_patient_scores: tuple[tuple[str, float, int], ...]
-    folds: tuple[FoldAudit, ...] = ()
+    folds: tuple[FoldAudit, ...]
 
 
 # --------------------------------------------------------------------------

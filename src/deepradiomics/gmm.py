@@ -222,18 +222,13 @@ def em_fit_rows(rows, k: int) -> list[GmmFit]:
 
 def _with_surplus(base: GmmFit, k: int, top: float, floor: float) -> GmmFit:
     """Pad a fit to k components with near-zero-weight duplicates at `top`."""
-    comps = list(base.components)
-    comps += [GmmComponent(top, float(floor), SURPLUS_WEIGHT)] * (k - base.k)
-    total = sum(c.omega for c in comps)
-    comps = [GmmComponent(c.mu, c.sigma2, c.omega / total) for c in comps]
-    comps.sort(key=lambda c: (c.mu, -c.omega))
-    return GmmFit(
-        components=tuple(comps),
-        log_likelihood=base.log_likelihood,
-        iterations=base.iterations,
-        converged=base.converged,
-        ll_trace=base.ll_trace,
-    )
+    pad = k - base.k
+    mu = [c.mu for c in base.components] + [top] * pad
+    var = [c.sigma2 for c in base.components] + [floor] * pad
+    w = [c.omega for c in base.components] + [SURPLUS_WEIGHT] * pad
+    w = np.array(w) / sum(w)
+    trace = base.ll_trace.tolist()
+    return _fit_result(np.array(mu), np.array(var), w, trace, base.iterations, base.converged)
 
 
 def em_fit(samples, k: int) -> GmmFit:

@@ -426,7 +426,7 @@ def cmd_inspect(
     weights_path,
     config: RunConfig,
     out_dir,
-    modality: str = "t1ce",
+    modality: str,
 ) -> tuple[Path, Path]:
     """Histogram + fitted mixture (SVG) and central axial slice (PGM)."""
     out = _output_dir(out_dir)

@@ -93,8 +93,11 @@ class RoiMask:
         object.__setattr__(self, "voxels", _real_array(self.voxels, "mask voxels"))
         if self.voxels.ndim != 3:
             raise ShapeMismatch(f"mask must be 3D, got shape {self.voxels.shape}")
-        bad = (self.voxels != 0) & (self.voxels != 1)
-        if bad.any():
+        if self.voxels.dtype.kind in "bu":  # max() allocates no whole-grid temporaries
+            ok = self.voxels.size == 0 or self.voxels.max() <= 1
+        else:
+            ok = not ((self.voxels != 0) & (self.voxels != 1)).any()
+        if not ok:
             raise MalformedHeader("mask voxels must be 0 or 1")
 
     @property
@@ -171,13 +174,11 @@ def _save_pair(path, data: np.ndarray, spacing, dtype: str, modality: str) -> No
 def load_volume(path) -> Volume3D:
     """Load a float32 volume from its `.vol.json` / `.vol.raw` pair."""
     hdr, data = _load_pair(path, "f32le")
-    side, raw = _sidecar_paths(path)
-    modality = hdr.get("modality", "DERIVED")
-    if modality not in MODALITIES:
-        raise MalformedHeader(f"{side}: unknown modality {modality!r}")
-    if not np.isfinite(data).all():
-        raise NonFiniteData(f"{raw}: payload contains NaN or Inf")
-    return Volume3D(data=data, spacing=tuple(map(float, hdr["spacing_mm"])), modality=modality)
+    side, _ = _sidecar_paths(path)
+    try:
+        return Volume3D(data, tuple(map(float, hdr["spacing_mm"])), hdr.get("modality", "DERIVED"))
+    except (MalformedHeader, NonFiniteData) as e:
+        raise type(e)(f"{side}: {e}") from e
 
 
 def save_volume(vol: Volume3D, path) -> None:

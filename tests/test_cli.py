@@ -930,7 +930,7 @@ class TestInspect:
         records = load_manifest(small_cohort)
         cfg = RunConfig(feature_sets=("R",))
         svg, pgm = cmd_inspect(
-            records, "S01", 1, small_cohort.parent / "weights.bin", cfg, tmp_path
+            records, "S01", 1, small_cohort.parent / "weights.bin", cfg, tmp_path, modality="t1ce"
         )
         root = ET.fromstring(svg.read_text())
         assert root.tag.endswith("svg")
@@ -945,7 +945,7 @@ class TestInspect:
         odd.write_text("\n".join(lines) + "\n")
         records = load_manifest(odd)
         svg, _ = cmd_inspect(
-            records, "S&<00", 3, small_cohort.parent / "weights.bin", RunConfig(), tmp_path
+            records, "S&<00", 3, small_cohort.parent / "weights.bin", RunConfig(), tmp_path, modality="t1ce"
         )
         root = ET.parse(svg).getroot()
         texts = [el.text for el in root.iter() if el.tag.endswith("text")]
@@ -955,7 +955,7 @@ class TestInspect:
         records = load_manifest(small_cohort)
         cfg = RunConfig(feature_sets=("R",))
         _, pgm = cmd_inspect(
-            records, "S02", 0, small_cohort.parent / "weights.bin", cfg, tmp_path
+            records, "S02", 0, small_cohort.parent / "weights.bin", cfg, tmp_path, modality="t1ce"
         )
         assert pgm.read_bytes().startswith(b"P5\n64 64\n255\n")
 
@@ -964,12 +964,14 @@ class TestInspect:
         cfg = RunConfig()
         for bad in (-1, 21, 99):
             with pytest.raises(BadMapIndex):
-                cmd_inspect(records, "S00", bad, small_cohort.parent / "weights.bin", cfg, tmp_path)
+                cmd_inspect(records, "S00", bad, small_cohort.parent / "weights.bin", cfg, tmp_path, modality="t1ce")
 
     def test_unknown_patient(self, small_cohort, tmp_path):
         records = load_manifest(small_cohort)
         with pytest.raises(UnknownPatient):
-            cmd_inspect(records, "NOPE", 0, small_cohort.parent / "weights.bin", RunConfig(), tmp_path)
+            cmd_inspect(
+                records, "NOPE", 0, small_cohort.parent / "weights.bin", RunConfig(), tmp_path, modality="t1ce"
+            )
 
 
 # --------------------------------------------------------------------------
@@ -1110,6 +1112,34 @@ class TestMain:
                 if imports.search(line):
                     found.append(f"{path.name}:{n}: {line.strip()}")
         assert not found
+
+    # each cohort-reading subcommand with every required flag
+    STAGE_ARGV = {
+        "extract": ["--manifest", "m.csv", "--weights", "w.bin", "--out", "o"],
+        "classify": ["--manifest", "m.csv", "--features", "f.csv", "--target", "m1", "--out", "o"],
+        "survive": ["--manifest", "m.csv", "--features", "f.csv", "--out", "o"],
+        "inspect": ["--manifest", "m.csv", "--weights", "w.bin", "--patient", "P", "--map", "0", "--out", "o"],
+    }
+
+    @pytest.mark.parametrize("flag", ["--manifest", "--out"])
+    @pytest.mark.parametrize("command", list(STAGE_ARGV))
+    def test_missing_shared_flag_is_a_usage_error(self, command, flag, capsys):
+        argv = self.STAGE_ARGV[command]
+        i = argv.index(flag)
+        with pytest.raises(SystemExit) as exit_:
+            main([command, *argv[:i], *argv[i + 2:]])
+        assert exit_.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: radiomics {command} ")
+        assert err.endswith(f"error: the following arguments are required: {flag}\n")
+
+    @pytest.mark.parametrize("command", list(STAGE_ARGV))
+    def test_help_lists_the_shared_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert all(f"{flag} " in out for flag in ("--manifest", "--config", "--out"))
 
     def test_fatal_error_exit_code(self, tmp_path):
         code = main(["extract", "--manifest", str(tmp_path / "none.csv"),

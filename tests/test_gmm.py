@@ -12,7 +12,8 @@ import deepradiomics as dr
 from deepradiomics import gmm
 from deepradiomics.cnn import CnnWeights
 from deepradiomics.errors import EmptyMask, EmptySamples, InvalidK, LengthMismatch, ShapeMismatch
-from deepradiomics.gmm import SURPLUS_WEIGHT, em_fit, em_fit_rows, variance_floor
+from deepradiomics.gmm import SURPLUS_WEIGHT, GmmComponent, GmmFit, em_fit, em_fit_rows, variance_floor
+from deepradiomics.manifest import MAX_K
 
 
 def two_gaussians(n=20000, mu=(0.0, 10.0), sigma=(1.0, 1.0), seed=7):
@@ -219,6 +220,23 @@ def reference_em_fit(x, k, tol=1e-8, max_iter=500):
     return comps, iterations, converged, np.asarray(trace)
 
 
+def frozen_with_surplus(base, k, top, floor):
+    """gmm._with_surplus as it was before it built its fit through _fit_result,
+    kept as the reference for the surplus components' order and weights."""
+    comps = list(base.components)
+    comps += [GmmComponent(top, float(floor), SURPLUS_WEIGHT)] * (k - base.k)
+    total = sum(c.omega for c in comps)
+    comps = [GmmComponent(c.mu, c.sigma2, c.omega / total) for c in comps]
+    comps.sort(key=lambda c: (c.mu, -c.omega))
+    return GmmFit(
+        components=tuple(comps),
+        log_likelihood=base.log_likelihood,
+        iterations=base.iterations,
+        converged=base.converged,
+        ll_trace=base.ll_trace,
+    )
+
+
 def assert_same_fit(fit, ref):
     comps, iterations, converged, trace = ref
     got = np.array([(c.mu, c.sigma2, c.omega) for c in fit.components])
@@ -275,6 +293,25 @@ class TestEmFitRows:
         assert not all(f.converged for f in fits) and any(f.converged for f in fits)
         for row, fit in zip(rows, fits):
             assert_same_fit(fit, reference_em_fit(row, 2, max_iter=60))
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(2, MAX_K), data=st.data())
+    def test_surplus_padding_matches_frozen_reference(self, k, data):
+        # rows with fewer distinct values than k, batched together
+        values = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=k - 1, unique=True)
+        rows = []
+        for row_values in data.draw(st.lists(values, min_size=1, max_size=4)):
+            picks = st.lists(st.sampled_from(row_values), min_size=20, max_size=20)
+            rows.append(data.draw(picks))
+        rows = np.array(rows)
+        for row, fit in zip(rows, em_fit_rows(rows, k)):
+            base = em_fit(row, len(np.unique(row)))
+            ref = frozen_with_surplus(base, k, float(row.max()), variance_floor(row))
+            assert fit.as_triples().tobytes() == ref.as_triples().tobytes()
+            assert fit.ll_trace.tobytes() == ref.ll_trace.tobytes()
+            assert (fit.log_likelihood, fit.iterations, fit.converged) == (
+                ref.log_likelihood, ref.iterations, ref.converged
+            )
 
     def test_errors(self):
         with pytest.raises(EmptySamples):

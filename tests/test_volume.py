@@ -127,6 +127,29 @@ class TestVolumeIO:
         with pytest.raises(NonFiniteData):
             dr.load_volume(path)
 
+    @pytest.mark.parametrize(
+        "patch, error", [({"modality": "PET"}, MalformedHeader), ({}, NonFiniteData)], ids=["modality", "nan"]
+    )
+    def test_volume_errors_name_the_sidecar(self, tmp_path, patch, error):
+        values = np.zeros(8, np.float32)
+        values[3] = np.nan if error is NonFiniteData else 0.0
+        path = write_raw_volume(tmp_path, "v", values, (2, 2, 2), (1, 1, 1), **patch)
+        with pytest.raises(error, match=r"^\S*v\.vol\.json: "):
+            dr.load_volume(path)
+
+    def test_load_checks_the_payload_once(self, tmp_path, monkeypatch):
+        # Volume3D owns the finiteness check; load_volume adds no second pass
+        path = write_raw_volume(tmp_path, "v", np.zeros(8, np.float32), (2, 2, 2), (1, 1, 1))
+        seen, isfinite = [], np.isfinite
+
+        def counted(a, *args, **kw):
+            seen.append(np.size(a))
+            return isfinite(a, *args, **kw)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        dr.load_volume(path)
+        assert seen.count(8) == 1
+
     def test_missing_files(self, tmp_path):
         with pytest.raises(MissingFile):
             dr.load_volume(tmp_path / "absent.vol.json")
@@ -243,6 +266,39 @@ class TestVolumeIO:
         (tmp_path / "m.vol.raw").write_bytes(bytes(raw))
         with pytest.raises(MalformedHeader):
             dr.load_mask(tmp_path / "m.vol.json")
+
+    @pytest.mark.parametrize(
+        "voxels, ok",
+        [
+            (np.array([0, 1], np.uint16), True),
+            (np.array([0, 2], np.uint16), False),
+            (np.array([True, False]), True),
+            (np.array([0, 1], np.int8), True),
+            (np.array([-1, 1], np.int8), False),
+            (np.array([0.0, 0.5]), False),
+            (np.zeros(0, np.uint8), True),
+        ],
+        ids=["u16", "u16-two", "bool", "i8", "i8-negative", "float-half", "empty"],
+    )
+    def test_mask_values_are_zero_or_one(self, voxels, ok):
+        if ok:
+            assert dr.RoiMask(voxels=voxels.reshape(-1, 1, 1)).dims == (voxels.size, 1, 1)
+        else:
+            with pytest.raises(MalformedHeader, match="must be 0 or 1"):
+                dr.RoiMask(voxels=voxels.reshape(-1, 1, 1))
+
+    def test_mask_check_allocates_no_whole_grid_temporaries(self):
+        # the peak holds the voxels themselves; each bool temporary of an
+        # elementwise {0, 1} test would add as many bytes again
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mask = dr.RoiMask(np.zeros((241, 241, 160), np.uint8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1.1 * mask.voxels.nbytes
 
     @pytest.mark.parametrize(
         "build, field",
