@@ -31,7 +31,7 @@ from .errors import (
     read_input,
     write_output,
 )
-from .volume import CNN_INPUT_SIZE, RoiMask, Volume3D
+from .volume import CNN_INPUT_SIZE, RoiMask, Volume3D, _computed_volume
 
 WEIGHTS_FORMAT_VERSION = 1
 
@@ -270,31 +270,50 @@ def downsample_mask(mask: RoiMask) -> RoiMask:
 # forward pass
 # --------------------------------------------------------------------------
 
-def _conv_relu_pool(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """maxpool3d(relu(conv3d(x, filters, bias, padding="same"))), two planes at a time.
+def _conv_relu_pool(x: np.ndarray, filters: np.ndarray, bias: np.ndarray, background: np.ndarray):
+    """maxpool3d(relu(conv3d(x, filters, bias, padding="same"))), and its background.
 
-    For a 2-wide kernel, 'same' padding is one zero plane at the high end of
-    each axis.  Pooled output plane i needs conv planes 2i and 2i+1, which
-    read padded input planes 2i..2i+2, so each slab goes through the same
-    float operations in the same order as the whole volume would: the
-    result is bit-identical.  Besides `x` and the pooled output, only one
-    slab is alive: its three input planes, zero-padded by one np.pad copy
-    (the last slab's third plane is padding), and its conv output.
+    Pooled voxel (i, j, k) reads the window 2i..2i+2 x 2j..2j+2 x 2k..2k+2
+    of the input zero-padded at the high end.  If every window voxel has
+    the bits of `background` (one value per channel), the voxel is the
+    output of a 3x3x3 background block, computed once by the same ops; so
+    each two-plane slab convolves only the pooled rows and columns whose
+    windows differ.  A background other than +0.0 differs from the pad,
+    so the last pooled plane, row and column are then one call each.  No
+    voxel's ops depend on its block, so the output is the whole volume's,
+    bit for bit.  The background returned is NaN when no output voxel is.
     """
-    n = x.shape[1]
-    out = np.empty((filters.shape[0], n // 2, n // 2, n // 2))
-    for i in range(0, n, 2):
-        planes = np.pad(x[:, i : i + 3], [(0, 0), (0, i + 3 - min(i + 3, n)), (0, 1), (0, 1)])
-        slab = conv3d(planes, filters, bias, stride=1, padding="valid")
-        out[:, i // 2 : i // 2 + 1] = maxpool3d(relu(slab))
-    return out
+    h = x.shape[1] // 2
+    bits = np.asarray(background, dtype=np.float64)[:, None, None, None].view(np.uint64)
+    stop = h - 1 if bits.any() else h
+    blocks = [((stop, h), (0, h), (0, h)), ((0, stop), (stop, h), (0, h)), ((0, stop), (0, stop), (stop, h))]
+    for i in range(stop):
+        differs = (x[:, 2 * i : 2 * i + 3].view(np.uint64) != bits).any(axis=(0, 1))
+        hits = [np.flatnonzero(differs.any(axis=axis)) for axis in (1, 0)]  # rows, columns
+        if hits[0].size:
+            spans = [(max(int(k[0]) - 1, 0) // 2, min(int(k[-1]) // 2 + 1, stop)) for k in hits]
+            blocks.append(((i, i + 1), *spans))
+    blocks = [block for block in blocks if all(a < b for a, b in block)]
+    out, out_background = np.empty((len(filters), h, h, h)), np.full(len(filters), np.nan)
+    if sum(math.prod(b - a for a, b in block) for block in blocks) < h**3:
+        block = np.broadcast_to(bits.view(np.float64), (len(bits), 3, 3, 3))
+        out_background = maxpool3d(relu(conv3d(block, filters, bias, padding="valid")))[:, 0, 0, 0]
+        out[:] = out_background[:, None, None, None]
+    for block in blocks:
+        planes = x[(slice(None), *(slice(2 * a, 2 * b + 1) for a, b in block))]
+        pads = [(0, 2 * (b - a) + 1 - m) for (a, b), m in zip(block, planes.shape[1:])]
+        slab = conv3d(np.pad(planes, [(0, 0), *pads]), filters, bias, stride=1, padding="valid")
+        out[(slice(None), *(slice(a, b) for a, b in block))] = maxpool3d(relu(slab))
+    return out, out_background
 
 
 def forward(input64: Volume3D, mask64: RoiMask, weights: CnnWeights) -> ActivationSet:
     """Run the fixed network on one 64^3 input volume.
 
     Pure function of (input, weights); returns all 21 activation maps and
-    the ROI mask max-downsampled to each map resolution.
+    the ROI mask max-downsampled to each map resolution.  A layer convolves
+    only where its input differs from its background; a voxel's operations
+    do not depend on that, so the maps are the whole pass's, bit for bit.
     """
     size = CNN_INPUT_SIZE
     if input64.dims != (size, size, size):
@@ -303,19 +322,16 @@ def forward(input64: Volume3D, mask64: RoiMask, weights: CnnWeights) -> Activati
         raise ShapeMismatch(f"mask dims {mask64.dims} != input dims {input64.dims}")
 
     x0 = np.asarray(input64.data, dtype=np.float64)[None]
-    a1 = _conv_relu_pool(x0, weights.conv1, weights.bias1)
-    a2 = _conv_relu_pool(a1, weights.conv2, weights.bias2)
+    a1, background1 = _conv_relu_pool(x0, weights.conv1, weights.bias1, np.zeros(1))
+    a2, _ = _conv_relu_pool(a1, weights.conv2, weights.bias2, background1)
 
     mask32 = downsample_mask(mask64)
     mask16 = downsample_mask(mask32)
 
-    def as_volume(arr: np.ndarray, mm: float) -> Volume3D:
-        return Volume3D(data=arr, spacing=(mm, mm, mm), modality="DERIVED")
-
     return ActivationSet(
         input_map=input64,
-        layer1_maps=tuple(as_volume(a1[i], 2.0) for i in range(N_FILTERS)),
-        layer2_maps=tuple(as_volume(a2[i], 4.0) for i in range(N_FILTERS)),
+        layer1_maps=tuple(_computed_volume(m, (2.0,) * 3, "DERIVED") for m in a1),
+        layer2_maps=tuple(_computed_volume(m, (4.0,) * 3, "DERIVED") for m in a2),
         mask64=mask64,
         mask32=mask32,
         mask16=mask16,

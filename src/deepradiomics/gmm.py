@@ -15,6 +15,13 @@ kernels: an FMA OpenBLAS kernel (Haswell or newer) for the E-step's
 matrix product, where a Sandybridge kernel gives other last bits, and
 numpy's AVX-512 float64 exp and log (dispatch group X86_V4), which
 round some values unlike its other code paths.
+
+When EM does not converge, a map's deep radiomic features (DRFs) are by
+definition the 500th EM iterate from the quantile start, which on a flat
+likelihood can lie far from the maximum-likelihood fit.  On a 1 mm noise
+texture with a 25 mm ellipsoid ROI (140,152 samples) EM converged after
+9,940 iterations; at the cap its parameters were 11-311% away (weight
+0.465 against 0.113) but the log-likelihood only 22.4 of 648,204.
 """
 
 from __future__ import annotations

@@ -83,6 +83,13 @@ class Volume3D:
         return self.data.shape
 
 
+def _computed_volume(data: np.ndarray, spacing, modality: str) -> Volume3D:
+    """A Volume3D of a grid computed from checked ones: no check, no whole-grid NaN pass."""
+    vol = object.__new__(Volume3D)
+    vol.__dict__.update(data=data, spacing=spacing, modality=modality)
+    return vol
+
+
 @dataclass(frozen=True)
 class RoiMask:
     """Binary tumour mask aligned voxel-for-voxel to a Volume3D."""
@@ -266,8 +273,7 @@ def resample_isotropic(vol: Volume3D) -> Volume3D:
     if all(s == ISO_MM for s in vol.spacing):
         return vol
     _, coords = _iso_grid(vol.dims, vol.spacing)
-    data = _trilinear_grid(vol.data, coords)
-    return Volume3D(data=data, spacing=(ISO_MM,) * 3, modality=vol.modality)
+    return _computed_volume(_trilinear_grid(vol.data, coords), (ISO_MM,) * 3, vol.modality)
 
 
 def resample_mask(mask: RoiMask, spacing) -> RoiMask:
@@ -275,13 +281,23 @@ def resample_mask(mask: RoiMask, spacing) -> RoiMask:
 
     The mask is interpolated as a float field and re-binarised at 0.5.  A
     nonempty input is guaranteed to stay nonempty: if thresholding empties
-    it, the voxel nearest the ROI centroid is switched back on.
+    it, the voxel nearest the ROI centroid is switched back on.  The output
+    range whose corners reach the support is interpolated as in a whole
+    grid; the rest has zero corners and non-negative weights, so is +0.0.
     """
     if all(s == ISO_MM for s in spacing):
         return mask
     out_dims, coords = _iso_grid(mask.dims, spacing)
-    voxels = (_trilinear_grid(mask.voxels, coords) > 0.5).view(np.uint8)
-    if mask.count > 0 and voxels.sum() == 0:
+    voxels, reach = np.zeros(out_dims, dtype=np.uint8), []
+    for axis, (c, n) in enumerate(zip(coords, mask.dims)):
+        support = mask.voxels.any(axis=tuple(a for a in range(3) if a != axis))
+        corners = np.minimum(np.floor(c).astype(np.intp)[:, None] + (0, 1), n - 1)  # as _trilinear_grid's
+        hits = np.flatnonzero(support[corners].any(axis=1))
+        reach.append(slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0))
+    if all(r.start < r.stop for r in reach):
+        grid = _trilinear_grid(mask.voxels, [c[r] for c, r in zip(coords, reach)])
+        np.greater(grid, 0.5, out=voxels[tuple(reach)].view(np.bool_))
+    if mask.count > 0 and not voxels.any():
         centroid = [float(c.mean()) for c in np.nonzero(mask.voxels)]
         idx = tuple(
             min(out_dims[a] - 1, max(0, _round_half_up(centroid[a] * spacing[a] / ISO_MM)))
@@ -299,6 +315,8 @@ def standardize_intensity(vol: Volume3D) -> Volume3D:
     """
     lo = float(vol.data.min())
     hi = float(vol.data.max())
+    if not math.isfinite(hi - lo):
+        raise NonFiniteData(f"intensity range {lo}..{hi} overflows float64")
     if hi == lo:
         data = np.zeros(vol.dims, dtype=np.float64)
     else:
@@ -306,7 +324,7 @@ def standardize_intensity(vol: Volume3D) -> Volume3D:
         data *= 255.0
         data /= hi - lo
         np.clip(data, 0.0, 255.0, out=data)  # shave 1-ulp rounding overshoot
-    return Volume3D(data=data, spacing=vol.spacing, modality=vol.modality)
+    return _computed_volume(data, vol.spacing, vol.modality)
 
 
 # --------------------------------------------------------------------------
@@ -362,5 +380,4 @@ def extract_cnn_input(vol: Volume3D, mask: RoiMask) -> tuple[Volume3D, RoiMask]:
         centre = tuple(o + (t - 1) // 2 for o, t in zip(off, target))
         cube_mask[centre] = 1
 
-    out = Volume3D(data=cube, spacing=(ISO_MM,) * 3, modality=vol.modality)
-    return out, RoiMask(voxels=cube_mask)
+    return _computed_volume(cube, (ISO_MM,) * 3, vol.modality), RoiMask(voxels=cube_mask)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deepradiomics as dr
+from deepradiomics import cnn
 from deepradiomics.cnn import (
     CONV1_SHAPE,
     CONV2_SHAPE,
@@ -340,6 +341,30 @@ def network_inputs(draw):
     return extract_cnn_input(vol, dr.RoiMask(voxels=vox))[0].data
 
 
+@st.composite
+def boxed_inputs(draw):
+    """64^3 inputs that are zero outside a box: any box, one touching a face,
+    a single voxel, an empty box or the whole cube."""
+    kind = draw(st.sampled_from(["box", "face", "voxel", "empty", "full"]))
+    lo = [draw(st.integers(0, 63)) for _ in range(3)]
+    hi = [draw(st.integers(a + 1, 64)) for a in lo]
+    if kind == "face":
+        axis = draw(st.integers(0, 2))
+        lo[axis], hi[axis] = draw(st.sampled_from([(0, hi[axis]), (lo[axis], 64)]))
+    elif kind == "voxel":
+        hi = [a + 1 for a in lo]
+    elif kind == "empty":
+        hi = lo
+    elif kind == "full":
+        lo, hi = [0] * 3, [64] * 3
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 255.0]))
+    x = np.zeros((64, 64, 64))
+    box = tuple(slice(a, b) for a, b in zip(lo, hi))
+    x[box] = rng.standard_normal(x[box].shape) * scale
+    return x
+
+
 class TestForward:
     def test_shape_contract(self):
         vol, mask = sphere_input()
@@ -404,6 +429,47 @@ class TestForward:
         for i in range(10):
             assert np.array_equal(acts.layer1_maps[i].data, a1[i])
             assert np.array_equal(acts.layer2_maps[i].data, a2[i])
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=boxed_inputs(), weight_seed=st.integers(0, 2**16), zero_bias=st.booleans())
+    def test_box_inputs_match_whole_volume_composition_byte_for_byte(self, x, weight_seed, zero_bias):
+        # outside the box every layer fills in its background output; the
+        # bytes, signed zeros included, must be the whole volume's
+        w = dr.generate_test_weights(weight_seed)
+        if zero_bias:
+            w = CnnWeights(conv1=w.conv1, bias1=np.zeros(10), conv2=w.conv2, bias2=np.zeros(10))
+        acts = forward(dr.Volume3D(data=x, spacing=(1, 1, 1)), dr.RoiMask(voxels=np.ones(x.shape, np.uint8)), w)
+        a1, a2 = forward_ref(x, w)
+        assert np.stack([m.data for m in acts.layer1_maps]).tobytes() == a1.tobytes()
+        assert np.stack([m.data for m in acts.layer2_maps]).tobytes() == a2.tobytes()
+
+    @pytest.mark.parametrize("kind", ["ellipsoid", "no background"])
+    def test_macs_skip_the_background(self, kind, monkeypatch):
+        # counted as perfbench/tracing.py counts cnn.macs; the dense pass is
+        # 10*64^3*8*1 + 10*32^3*8*10 multiply-adds
+        macs, conv3d = [], cnn.conv3d
+
+        def counted(x, filters, bias, *args, **kw):
+            out = conv3d(x, filters, bias, *args, **kw)
+            macs.append(out.size * 8 * np.shape(filters)[-1])
+            return out
+
+        monkeypatch.setattr(cnn, "conv3d", counted)
+        rng = np.random.default_rng(5)
+        if kind == "ellipsoid":  # an elongated ROI: its box fills 64x31x21 voxels of the cube
+            x, y, z = np.mgrid[:27, :13, :9]
+            inside = ((x - 13) / 13) ** 2 + ((y - 6) / 6) ** 2 + ((z - 4) / 4) ** 2 <= 1
+            vol = dr.Volume3D(data=rng.uniform(0.0, 255.0, inside.shape), spacing=(1, 1, 1))
+            vol, mask = extract_cnn_input(vol, dr.RoiMask(voxels=inside.astype(np.uint8)))
+        else:
+            vol = dr.Volume3D(data=rng.uniform(1.0, 2.0, (64, 64, 64)), spacing=(1, 1, 1))
+            mask = dr.RoiMask(voxels=np.ones((64, 64, 64), np.uint8))
+        forward(vol, mask, dr.generate_test_weights(42))
+        dense = 47_185_920
+        if kind == "ellipsoid":
+            assert sum(macs) * 2.5 <= dense
+        else:
+            assert sum(macs) == dense
 
     def test_peak_memory_bound(self):
         # both layers' outputs, one slab's padded input planes and its conv,

@@ -9,7 +9,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 from conftest import run_memory_limited
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import label, map_coordinates
 
@@ -23,6 +23,7 @@ from deepradiomics.errors import (
     NonFiniteData,
     ShapeMismatch,
 )
+from deepradiomics.pipeline import volume_features
 from deepradiomics.volume import (
     MAX_VOXELS,
     _iso_grid,
@@ -87,6 +88,20 @@ def resize_ref(data, out_dims):
     return out
 
 
+def resample_mask_ref(mask, spacing):
+    """resample_mask as a whole-grid pass, before it was limited to the support."""
+    out_dims, coords = _iso_grid(mask.dims, spacing)
+    voxels = (_trilinear_grid(mask.voxels, coords) > 0.5).view(np.uint8)
+    if mask.count > 0 and voxels.sum() == 0:
+        centroid = [float(c.mean()) for c in np.nonzero(mask.voxels)]
+        idx = tuple(
+            min(out_dims[a] - 1, max(0, int(math.floor(centroid[a] * spacing[a] + 0.5))))
+            for a in range(3)
+        )
+        voxels[idx] = 1
+    return voxels
+
+
 def write_raw_volume(tmp_path, name, values, dims, spacing, dtype="f32le", modality="T1WI"):
     """Build sidecar + payload by hand, independent of save_volume."""
     side = tmp_path / f"{name}.vol.json"
@@ -149,6 +164,27 @@ class TestVolumeIO:
         monkeypatch.setattr(np, "isfinite", counted)
         dr.load_volume(path)
         assert seen.count(8) == 1
+
+    def test_volume_features_checks_the_payload_alone(self, tmp_path, monkeypatch):
+        # the resampled grid, its standardised copy, the 64^3 cube and the
+        # 20 activation maps are computed from the checked payload, so the
+        # payload is the only grid that one volume_features call checks
+        dims, spacing = (24, 24, 8), (0.94, 0.94, 5.0)
+        x, y, z = np.mgrid[:24, :24, :8]
+        inside = ((x - 11.5) / 8) ** 2 + ((y - 11.5) / 6) ** 2 + ((z - 3.5) / 3) ** 2 <= 1
+        data = np.random.default_rng(3).uniform(0.0, 100.0, dims)
+        dr.save_volume(dr.Volume3D(data=data, spacing=spacing, modality="T1WI"), tmp_path / "v")
+        dr.save_mask(dr.RoiMask(voxels=inside.astype(np.uint8)), tmp_path / "m", spacing)
+        weights = dr.generate_test_weights(0)
+        seen, isfinite = [], np.isfinite
+
+        def counted(a, *args, **kw):
+            seen.append(np.size(a))
+            return isfinite(a, *args, **kw)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        volume_features(tmp_path / "v", tmp_path / "m", weights, 2)
+        assert [n for n in seen if n > 1000] == [math.prod(dims)]  # 24 passes before
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -477,6 +513,27 @@ class TestResample:
         assert out.shape == (120, 120, 80)
         assert peak - base < 1.5 * out.size * 8
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(2, 12)] * 3),
+        spacing=st.tuples(*[st.sampled_from([0.3, 0.45, 0.94, 1.0, 1.3, 2.5, 5.0])] * 3),
+        box=st.tuples(*[st.tuples(st.floats(0, 1), st.floats(0, 1))] * 3),
+        density=st.sampled_from([0.0, 0.2, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(5, 5, 5), spacing=(0.4, 0.4, 0.4), box=((0.5, 0.5),) * 3, density=1.0, seed=0)
+    @example(dims=(7, 6, 3), spacing=(0.94, 0.94, 5.0), box=((1, 1), (0, 0), (1, 0)), density=1.0, seed=0)
+    def test_support_limited_mask_resample_matches_whole_grid(self, dims, spacing, box, density, seed):
+        # the box's corners are fractions of each axis: (0, 0) is the first
+        # voxel, (1, 1) the last, so supports touch the grid's edges often
+        rng = np.random.default_rng(seed)
+        vox = np.zeros(dims, dtype=np.uint8)
+        ends = [sorted(round(f * (n - 1)) for f in fs) for fs, n in zip(box, dims)]
+        sl = tuple(slice(a, b + 1) for a, b in ends)
+        vox[sl] = rng.random(vox[sl].shape) < density
+        mask = dr.RoiMask(voxels=vox)
+        np.testing.assert_array_equal(resample_mask(mask, spacing).voxels, resample_mask_ref(mask, spacing))
+
     def test_mask_resampling_stays_nonempty(self):
         vox = np.zeros((5, 5, 5), dtype=np.uint8)
         vox[2, 2, 2] = 1
@@ -501,6 +558,12 @@ class TestStandardize:
         vol = dr.Volume3D(data=np.full((2, 2, 2), 7.0), spacing=(1, 1, 1))
         out = dr.standardize_intensity(vol)
         assert np.all(out.data == 0.0)
+
+    def test_range_past_float64_is_nonfinite_data(self):
+        # finite values whose range overflows would standardise to NaN
+        vol = dr.Volume3D(data=np.array([-1e308, 1e308]).reshape(2, 1, 1), spacing=(1, 1, 1))
+        with pytest.raises(NonFiniteData):
+            dr.standardize_intensity(vol)
 
     def test_three_values(self):
         vol = dr.Volume3D(data=np.array([10.0, 20.0, 30.0]).reshape(3, 1, 1), spacing=(1, 1, 1))
